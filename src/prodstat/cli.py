@@ -129,7 +129,10 @@ def _fit_result_dict(fr: gb2.FitResult) -> dict:
                        "q": fr.params.q, "c1": fr.params.c1},
             "log_likelihood": fr.log_likelihood, "n_obs": fr.n_obs,
             "mu_stderr": fr.mu_stderr, "converged": fr.converged,
-            "n_iterations": fr.n_iterations}
+            "n_iterations": fr.n_iterations,
+            "n_evaluations": fr.n_evaluations,
+            "bootstrap_converged": fr.bootstrap_converged,
+            "mu_stderr_hessian": fr.mu_stderr_hessian}
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,10 @@ def _cmd_index(args) -> int:
                  "regime": point.regime.value,
                  "firm_converged": firm_fit.converged,
                  "worker_converged": worker_fit.converged}
+        for side, fr in (("firm", firm_fit), ("worker", worker_fit)):
+            entry[f"{side}_n_evaluations"] = fr.n_evaluations
+            entry[f"{side}_bootstrap_converged"] = fr.bootstrap_converged
+            entry[f"{side}_mu_stderr_hessian"] = fr.mu_stderr_hessian
         if point.regime is Regime.NEGATIVE_TEMPERATURE:
             entry["warning"] = ("negative-temperature regime: mu_f >= mu_w, "
                                 "kappa undefined")

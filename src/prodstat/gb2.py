@@ -10,10 +10,18 @@ with mu, nu, q, c1 > 0.  The upper tail is Pareto with index mu
 sharpness of the crossover and c1 its location.
 
 Fitting maximizes sum_i w_i ln p(c_i) over the log-transformed
-parameters with a derivative-free simplex search; per-observation
-weights make worker-side fits (weight = employee count) identical in
-law to exploding each firm into that many observations, at a fraction
-of the cost.
+parameters theta = (ln mu, ln nu, ln q, ln c1).  A derivative-free
+simplex search from five deterministic starts finds the basin (the
+globalisation step), and damped Newton steps on the exact score and
+Hessian finish at the optimum.  The data enter the likelihood only
+through weighted softplus sums, so the score and Hessian cost one fused
+pass over the data (kernels.softplus_wsum_derivs) plus digamma and
+trigamma of the log-beta arguments.  The bootstrap stderr of mu refits
+each resampled replicate with the same damped-Newton path, warm-started
+at the point estimate, and uses only the replicates that converged.
+Per-observation weights make worker-side fits (weight = employee count)
+identical in law to exploding each firm into that many observations, at
+a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma, zeta
 
 from . import kernels
 from .errors import InsufficientData
@@ -30,11 +39,17 @@ from .specfun import log_beta, reg_inc_beta
 _MIN_OBS = 100               # fits below this are refused
 _N_STARTS = 5                # deterministic multi-start count
 _MAX_ITER = 2000             # simplex iteration cap per start
+_SIMPLEX_STEP = 0.25         # initial simplex edge (log-parameter space)
 _FTOL_REL = 1e-8             # relative objective-improvement stop
 _XTOL = 1e-9                 # simplex diameter stop (log-parameter space)
 _N_BOOTSTRAP = 200           # replicates behind mu_stderr
 _BOOTSTRAP_SEED = 20240917   # fixed so repeated fits are reproducible
 _THETA_BOUND = 30.0          # |log parameter| guard against degeneracy
+_NEWTON_TOL = 1e-10          # stop when decrement^2 / 2 <= tol * (1 + |f|)
+_NEWTON_MAX_ITER = 50        # Newton step cap per path
+_ARMIJO = 1e-4               # sufficient-decrease fraction of the line search
+_MAX_BACKTRACK = 40          # step halvings before a line search gives up
+_MAX_DAMPING = 30            # tenfold increases of the Hessian shift
 
 
 @dataclass(frozen=True)
@@ -62,12 +77,17 @@ class FitResult:
     mu_stderr: float
     converged: bool
     n_iterations: int
+    n_evaluations: int
+    bootstrap_converged: int
+    mu_stderr_hessian: float
 
     def __post_init__(self):
         if self.converged and not math.isfinite(self.log_likelihood):
             raise ValueError("converged fit must have finite log-likelihood")
         if not self.mu_stderr >= 0.0:
             raise ValueError("mu_stderr must be >= 0")
+        if not self.mu_stderr_hessian >= 0.0:
+            raise ValueError("mu_stderr_hessian must be >= 0")
 
 
 def _softplus(x: float) -> float:
@@ -161,35 +181,175 @@ def _neg_log_likelihood(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     return -ll
 
 
-def _nelder_mead(f, x0: np.ndarray, step: float, max_iter: int):
+def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
+                     w_total: float, wlc_total: float):
+    """_neg_log_likelihood with its exact gradient and Hessian in theta.
+
+    Returns (f, g, H); where the objective or a derivative is not finite,
+    f is inf and g, H are None.  With a = mu/q, b = nu/q, m = a + b the
+    objective is
+        W (ln B(a, b) - ln q) - (nu - 1) S + nu W ln c1 + m K(q, ln c1),
+    K = sum w softplus(q (lc - ln c1)).  The log-beta term is a function
+    of (ln a, ln b) = (ln mu - ln q, ln nu - ln q), and K's derivatives
+    in (ln q, ln c1) come from the fused kernel's six sums.
+    """
+    if np.max(np.abs(theta)) > _THETA_BOUND:
+        return math.inf, None, None
+    lmu, lnu, lq, lc1 = theta
+    nu = math.exp(lnu)
+    q = math.exp(lq)
+    a = math.exp(lmu) / q
+    b = nu / q
+    m = a + b
+    k, k0, k1, h0, h1, h2 = kernels.softplus_wsum_derivs(lc, w, q, lc1)
+    wt, st = w_total, wlc_total
+    f = float(wt * (log_beta(a, b) - lq) - (nu - 1.0) * st + nu * wt * lc1
+              + m * k)
+    if not math.isfinite(f):
+        return math.inf, None, None
+
+    psi_a, psi_b, psi_m = digamma([a, b, m])
+    # trigamma(x) = zeta(2, x); scipy's polygamma(1, x) wraps this call
+    tri_a, tri_b, tri_m = zeta(2.0, [a, b, m])
+    # ln B(a, b) as a function of (ln a, ln b)
+    gu = a * (psi_a - psi_m)
+    gv = b * (psi_b - psi_m)
+    guu = gu + a * a * (tri_a - tri_m)
+    gvv = gv + b * b * (tri_b - tri_m)
+    guv = -a * b * tri_m
+    # K in (ln q, ln c1)
+    kr = q * k1
+    kl = -q * k0
+    krr = kr + q * q * h2
+    krl = kl - q * q * h1
+    kll = q * q * h0
+    nu_terms = -nu * st + nu * wt * lc1      # the nu-dependent data terms
+
+    g = np.array([
+        wt * gu + a * k,
+        wt * gv + nu_terms + b * k,
+        -wt * (gu + gv + 1.0) + m * (kr - k),
+        nu * wt + m * kl,
+    ])
+    h01 = wt * guv
+    h02 = -wt * (guu + guv) + a * (kr - k)
+    h03 = a * kl
+    h12 = -wt * (guv + gvv) + b * (kr - k)
+    h13 = nu * wt + b * kl
+    h23 = m * (krl - kl)
+    h = np.array([
+        [wt * guu + a * k, h01, h02, h03],
+        [h01, wt * gvv + nu_terms + b * k, h12, h13],
+        [h02, h12, wt * (guu + 2.0 * guv + gvv) + m * (k - 2.0 * kr + krr), h23],
+        [h03, h13, h23, m * kll],
+    ])
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        return math.inf, None, None
+    return f, g, h
+
+
+def _damped_newton_step(g: np.ndarray, h: np.ndarray):
+    """Newton step on H + lam*I with the smallest lam in a tenfold ladder
+    (0, then 1e-8 * max|diag H| upward) that makes it positive definite.
+
+    Returns (step, decrement^2, lam), or None when no shift on the
+    ladder gives a positive-definite matrix.
+    """
+    lam = 0.0
+    for _ in range(_MAX_DAMPING):
+        shifted = h + lam * np.eye(len(g)) if lam else h
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lam = (10.0 * lam if lam
+                   else 1e-8 * max(float(np.max(np.abs(np.diag(h)))), 1e-300))
+            continue
+        step = -np.linalg.solve(shifted, g)
+        return step, float(-(g @ step)), lam
+    return None
+
+
+@dataclass(frozen=True)
+class _NewtonPath:
+    theta: np.ndarray
+    f: float
+    hess: np.ndarray | None
+    n_iterations: int
+    n_passes: int          # fused likelihood passes, trial points included
+    n_damped: int          # steps that needed a Hessian shift
+    converged: bool
+
+
+def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
+            w_total: float, wlc_total: float) -> _NewtonPath:
+    """Damped Newton minimization of _neg_log_likelihood from theta0.
+
+    Each step solves with the Hessian, shifted by lam*I until its
+    Cholesky factorization succeeds, and halves the step until the
+    Armijo condition holds.  The path has converged when, at an
+    unshifted (positive-definite) Hessian, the Newton decrement
+    satisfies decrement^2 / 2 <= _NEWTON_TOL * (1 + |f|); scaling all
+    weights by a constant scales f and decrement^2 alike, so the test is
+    independent of the weight units.  A failed line search or the step
+    cap ends the path unconverged.
+    """
+    theta = np.array(theta0, dtype=np.float64)
+    f, g, h = _nll_derivatives(theta, lc, w, w_total, wlc_total)
+    n_passes = 1
+    n_iter = n_damped = 0
+    converged = False
+    while g is not None and n_iter < _NEWTON_MAX_ITER:
+        found = _damped_newton_step(g, h)
+        if found is None:
+            break
+        step, dec2, lam = found
+        if lam == 0.0 and 0.5 * dec2 <= _NEWTON_TOL * (1.0 + abs(f)):
+            converged = True
+            break
+        n_iter += 1
+        n_damped += lam > 0.0
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACK):
+            trial = theta + alpha * step
+            ft, gt, ht = _nll_derivatives(trial, lc, w, w_total, wlc_total)
+            n_passes += 1
+            if ft <= f - _ARMIJO * alpha * dec2:
+                break
+            alpha *= 0.5
+        else:
+            break
+        theta, f, g, h = trial, ft, gt, ht
+    return _NewtonPath(theta=theta, f=f, hess=h, n_iterations=n_iter,
+                       n_passes=n_passes, n_damped=n_damped,
+                       converged=converged)
+
+
+def _nelder_mead(f, x0: np.ndarray):
     """Minimize f from x0 with the standard simplex moves.
 
     Stops when the relative objective spread across the simplex drops
-    below _FTOL_REL or the simplex diameter below _XTOL.  Returns
-    (x_best, f_best, n_iterations, converged).
+    below _FTOL_REL, the simplex diameter below _XTOL, or after _MAX_ITER
+    iterations; Newton steps finish the search either way.  Returns
+    (x_best, f_best, n_iterations).
     """
     n = len(x0)
     pts = [np.array(x0, dtype=np.float64)]
     for i in range(n):
         x = np.array(x0, dtype=np.float64)
-        x[i] += step
+        x[i] += _SIMPLEX_STEP
         pts.append(x)
     simplex = np.array(pts)
     fvals = np.array([f(x) for x in simplex])
 
     n_iter = 0
-    converged = False
-    while n_iter < max_iter:
+    while n_iter < _MAX_ITER:
         order = np.argsort(fvals, kind="stable")
         simplex = simplex[order]
         fvals = fvals[order]
 
         f_spread = fvals[-1] - fvals[0]
-        if f_spread <= _FTOL_REL * (abs(fvals[0]) + 1e-12):
-            converged = True
-            break
-        if np.max(np.abs(simplex[1:] - simplex[0])) <= _XTOL:
-            converged = True
+        if (f_spread <= _FTOL_REL * (abs(fvals[0]) + 1e-12)
+                or np.max(np.abs(simplex[1:] - simplex[0])) <= _XTOL):
             break
 
         n_iter += 1
@@ -218,7 +378,7 @@ def _nelder_mead(f, x0: np.ndarray, step: float, max_iter: int):
                 fvals[1:] = [f(x) for x in simplex[1:]]
 
     best = int(np.argmin(fvals))
-    return simplex[best].copy(), float(fvals[best]), n_iter, converged
+    return simplex[best].copy(), float(fvals[best]), n_iter
 
 
 def _tail_index_guess(c_sorted_desc: np.ndarray, w_desc: np.ndarray) -> float:
@@ -263,17 +423,28 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     init : optional Gb2Params
         Single starting point; when absent, five deterministic starts
         are used (rank-size tail slope for mu, weighted median for c1,
-        nu = q = 1, plus four fixed perturbations) and the best final
-        likelihood wins.  A short refinement pass then restarts the
-        simplex at the winner.
+        nu = q = 1, plus four fixed perturbations).
+
+    The simplex search runs from each start and the best final
+    likelihood wins; this globalises the fit.  Damped Newton steps on
+    the exact score and Hessian then polish the winner to the optimum.
 
     Returns
     -------
-    FitResult with the fitted parameters, the weighted log-likelihood,
-    a 200-replicate bootstrap standard error for mu (observations
-    resampled uniformly, carrying their weights), the convergence flag
-    of the final simplex pass, and the total iteration count across
-    passes (bootstrap refits excluded).
+    FitResult with the fitted parameters and weighted log-likelihood;
+    converged, which is the Newton polish's convergence; n_iterations,
+    the simplex iterations plus the polish's Newton steps (bootstrap
+    excluded); n_evaluations, every likelihood pass the fit made
+    (simplex objective evaluations plus fused derivative passes of the
+    polish and the bootstrap); mu_stderr, the standard deviation of mu
+    over the converged ones of 200 nonparametric bootstrap replicates
+    (observations resampled uniformly, carrying their weights), each
+    refit by a damped-Newton path warm-started at the point estimate,
+    inf when fewer than two converged; bootstrap_converged, how many
+    replicates converged; and mu_stderr_hessian, the observed-information
+    stderr of mu from the Newton Hessian at the optimum, with the
+    weights rescaled to sum to the observation count (inf when that
+    Hessian is not positive definite).
 
     Raises
     ------
@@ -303,8 +474,12 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     w_total = float(np.sum(uw))
     wlc_total = float(uw @ lc)
 
-    def objective(theta, weights=uw, wt=w_total, st=wlc_total):
-        return _neg_log_likelihood(theta, lc, weights, wt, st)
+    n_evals = 0
+
+    def objective(theta):
+        nonlocal n_evals
+        n_evals += 1
+        return _neg_log_likelihood(theta, lc, uw, w_total, wlc_total)
 
     if init is not None:
         starts = [np.log([init.mu, init.nu, init.q, init.c1])]
@@ -319,51 +494,67 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     best_f = math.inf
     total_iter = 0
     for theta0 in starts:
-        theta, fval, n_iter, _ = _nelder_mead(objective, theta0,
-                                              step=0.25, max_iter=_MAX_ITER)
+        theta, fval, n_iter = _nelder_mead(objective, theta0)
         total_iter += n_iter
         if fval < best_f:
             best_theta, best_f = theta, fval
 
-    # restart at the winner with a tight simplex; guards against a
-    # collapsed simplex stopping short of the optimum
-    best_theta, best_f, n_iter, converged = _nelder_mead(
-        objective, best_theta, step=0.05, max_iter=_MAX_ITER)
-    total_iter += n_iter
-
-    lmu, lnu, lq, lc1 = best_theta
+    polish = _newton(best_theta, lc, uw, w_total, wlc_total)
+    theta_hat = polish.theta
+    lmu, lnu, lq, lc1 = theta_hat
     params = Gb2Params(math.exp(lmu), math.exp(lnu), math.exp(lq), math.exp(lc1))
 
-    mu_stderr = _bootstrap_mu_stderr(best_theta, lc, inv, w, n_obs)
+    mu_stderr, n_boot_ok, n_boot_passes = _bootstrap_mu_stderr(
+        theta_hat, lc, inv, w, n_obs)
 
-    return FitResult(params=params, log_likelihood=-best_f, n_obs=n_obs,
-                     mu_stderr=mu_stderr, converged=converged,
-                     n_iterations=total_iter)
+    return FitResult(params=params, log_likelihood=-polish.f, n_obs=n_obs,
+                     mu_stderr=mu_stderr, converged=polish.converged,
+                     n_iterations=total_iter + polish.n_iterations,
+                     n_evaluations=n_evals + polish.n_passes + n_boot_passes,
+                     bootstrap_converged=n_boot_ok,
+                     mu_stderr_hessian=_mu_stderr_hessian(
+                         theta_hat, polish.hess, n_obs / w_total))
+
+
+def _mu_stderr_hessian(theta: np.ndarray, hess: np.ndarray | None,
+                       info_scale: float) -> float:
+    """Observed-information stderr of mu: the Hessian of the negative
+    log-likelihood in theta, times info_scale, inverted; mu = exp(theta[0])
+    carries the ln-mu variance by the delta method."""
+    if hess is None:
+        return math.inf
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return math.inf
+    var_lmu = np.linalg.inv(hess)[0, 0] / info_scale
+    return math.exp(theta[0]) * math.sqrt(var_lmu)
 
 
 def _bootstrap_mu_stderr(theta_hat: np.ndarray, lc: np.ndarray,
-                         inv: np.ndarray, w: np.ndarray, n_obs: int) -> float:
+                         inv: np.ndarray, w: np.ndarray, n_obs: int):
     """Std of fitted mu over nonparametric bootstrap replicates.
 
     Each replicate resamples the n_obs observations uniformly with
-    replacement (multinomial counts) and refits from the point estimate
-    with a short warm-started simplex pass.
+    replacement (multinomial counts) and refits with a damped-Newton
+    path from the point estimate.  Returns (stderr over the converged
+    replicates, or inf when fewer than two converged; the number that
+    converged; the fused passes spent).
     """
     rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    mus = np.empty(_N_BOOTSTRAP)
+    mus = []
+    n_passes = 0
     pvals = np.full(n_obs, 1.0 / n_obs)
     n_unique = len(lc)
-    for b in range(_N_BOOTSTRAP):
+    for _ in range(_N_BOOTSTRAP):
         counts = rng.multinomial(n_obs, pvals)
         wb = np.bincount(inv, weights=w * counts, minlength=n_unique)
-        wb = np.ascontiguousarray(wb)
-        wt = float(np.sum(wb))
-        st = float(wb @ lc)
-
-        def objective(theta, weights=wb, wt=wt, st=st):
-            return _neg_log_likelihood(theta, lc, weights, wt, st)
-
-        theta_b, _, _, _ = _nelder_mead(objective, theta_hat,
-                                        step=0.05, max_iter=300)
-        mus[b] = math.exp(theta_b[0])
-    return float(np.std(mus, ddof=1))
+        drawn = wb > 0.0            # about 1/e of the values are not drawn
+        lc_b = lc[drawn]
+        wb = wb[drawn]
+        path = _newton(theta_hat, lc_b, wb, float(np.sum(wb)), float(wb @ lc_b))
+        n_passes += path.n_passes
+        if path.converged:
+            mus.append(math.exp(path.theta[0]))
+    stderr = float(np.std(mus, ddof=1)) if len(mus) >= 2 else math.inf
+    return stderr, len(mus), n_passes

@@ -69,6 +69,9 @@ def test_fit_json_structure(super_panel, tmp_path):
     assert fit["converged"] is True
     assert fit["n_obs"] == payload["n_samples_in_slice"]
     assert 1.5 < fit["params"]["mu"] < 3.0
+    assert fit["bootstrap_converged"] == 200
+    assert fit["n_evaluations"] > fit["n_iterations"] > 0
+    assert 0.0 < fit["mu_stderr_hessian"] < 2.0 * fit["mu_stderr"]
     assert payload["exclusions"]["counts"]["no prior-year workers"] == 1500
 
 
@@ -98,6 +101,14 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     for row in series:
         assert row["regime"] == "Superstatistical"
         assert 0.0 < row["kappa"] < 1.0
+        # on this 1500-firm q=1 panel some worker-weighted replicates
+        # have no finite optimum (c1 runs off along a ridge); they are
+        # counted, not used
+        assert row["firm_bootstrap_converged"] == 200
+        assert 100 < row["worker_bootstrap_converged"] < 200
+        for side in ("firm", "worker"):
+            assert row[f"{side}_n_evaluations"] > 0
+            assert row[f"{side}_mu_stderr_hessian"] > 0.0
 
     # the index kappa must equal the algebra applied to cmd_fit outputs
     fits = {}

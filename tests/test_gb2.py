@@ -202,3 +202,92 @@ def test_fit_deterministic():
     r2 = gb2.fit_mle(_pairs(c))
     assert r1.params == r2.params
     assert r1.mu_stderr == r2.mu_stderr
+
+
+# ---------------------------------------------------------------------------
+# analytic derivatives and the damped-Newton bootstrap
+
+# the panel law of the benchmark panels; a fixed 2000-observation sample
+PANEL_LAW = gb2.Gb2Params(2.2, 2.0, 3.0, 1.0)
+# mu_stderr of the 2000-observation sample under the former 200-replicate
+# Nelder-Mead bootstrap (simplex refits from the point estimate)
+SIMPLEX_ERA_MU_STDERR = 0.1842847366487273
+
+THETA_POINTS = [
+    np.array([0.8, 0.7, 1.1, 0.05]),
+    np.array([0.2, -0.5, 0.0, 0.3]),
+    np.array([1.5, 1.2, -0.7, -0.4]),
+]
+
+
+def _panel_sample():
+    return gb2.sample(PANEL_LAW, 2000, 5)
+
+
+def _likelihood_args(weights):
+    c = _panel_sample()
+    lc = np.log(c)
+    w = np.ones_like(c) if weights == "unit" else np.floor(200.0 * c ** -0.5) + 1.0
+    return lc, w, float(np.sum(w)), float(w @ lc)
+
+
+@pytest.mark.parametrize("weights", ["unit", "workers"])
+@pytest.mark.parametrize("theta", THETA_POINTS)
+def test_analytic_derivatives_match_finite_differences(theta, weights):
+    args = _likelihood_args(weights)
+
+    def f(x):
+        return gb2._neg_log_likelihood(x, *args)
+
+    val, g, h = gb2._nll_derivatives(theta, *args)
+    assert val == pytest.approx(f(theta), rel=1e-13)
+    eye = np.eye(4)
+    hg, hh = 1e-5, 1e-4
+    g_fd = np.array([(f(theta + hg * e) - f(theta - hg * e)) / (2.0 * hg)
+                     for e in eye])
+    h_fd = np.array([[(f(theta + hh * (ei + ej)) - f(theta + hh * (ei - ej))
+                       - f(theta - hh * (ei - ej)) + f(theta - hh * (ei + ej)))
+                      / (4.0 * hh * hh) for ej in eye] for ei in eye])
+    assert np.array_equal(h, h.T)
+    assert g == pytest.approx(g_fd, rel=1e-6, abs=1e-6 * np.max(np.abs(g)))
+    assert h == pytest.approx(h_fd, rel=1e-6, abs=1e-6 * np.max(np.abs(h)))
+
+
+def test_derivatives_outside_bound_are_inf():
+    args = _likelihood_args("unit")
+    f, g, h = gb2._nll_derivatives(np.array([31.0, 0.0, 0.0, 0.0]), *args)
+    assert f == math.inf and g is None and h is None
+
+
+def test_bootstrap_matches_simplex_era():
+    res = gb2.fit_mle(_pairs(_panel_sample()))
+    assert res.converged
+    assert res.bootstrap_converged == 200
+    assert res.mu_stderr == pytest.approx(SIMPLEX_ERA_MU_STDERR, rel=0.02)
+    assert res.mu_stderr_hessian == pytest.approx(res.mu_stderr, rel=0.25)
+    assert res.n_evaluations > res.n_iterations
+
+
+def test_newton_damps_a_non_positive_definite_start():
+    args = _likelihood_args("unit")
+    optimum = gb2._newton(np.log([2.2, 2.0, 3.0, 1.0]), *args)
+    assert optimum.converged
+    start = np.array([1.5, -1.0, 1.0, 0.0])
+    _, _, h = gb2._nll_derivatives(start, *args)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(h)
+    path = gb2._newton(start, *args)
+    assert path.converged
+    assert path.n_damped >= 1
+    assert path.theta == pytest.approx(optimum.theta, abs=1e-3)
+
+
+def test_worker_weighted_hessian_stderr_is_unit_free():
+    # rescaling all weights leaves the fit and both stderrs unchanged
+    c = _panel_sample()
+    w = np.floor(200.0 * c ** -0.5) + 1.0
+    r1 = gb2.fit_mle(_pairs(c, w))
+    r2 = gb2.fit_mle(_pairs(c, 8.0 * w))
+    assert r2.params.mu == pytest.approx(r1.params.mu, rel=1e-9)
+    assert r2.mu_stderr_hessian == pytest.approx(r1.mu_stderr_hessian, rel=1e-6)
+    assert r2.mu_stderr == pytest.approx(r1.mu_stderr, rel=1e-6)
