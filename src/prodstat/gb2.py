@@ -469,8 +469,7 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     # distinct observations; the likelihood only sees (value, weight).
     uc, inv = np.unique(c, return_inverse=True)
     uw = np.bincount(inv, weights=w)
-    lc = np.ascontiguousarray(np.log(uc))
-    uw = np.ascontiguousarray(uw)
+    lc = np.log(uc)
     w_total = float(np.sum(uw))
     wlc_total = float(uw @ lc)
 

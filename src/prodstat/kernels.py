@@ -1,30 +1,22 @@
-"""Likelihood inner-loop reductions with two interchangeable backends.
+"""Likelihood inner-loop reductions, in numpy.
 
-The compiled extension (prodstat._fastkern) is used when available;
-otherwise a numpy fallback.  Both compute the same reduction, and the
-backend is fixed once at import time.  BACKEND reports which one is
-active; perfbench reports the reduction's cost per element
-(``kernels.ns_per_elem.*`` under ``--trace 1``).
-
-softplus_wsum_derivs is the numpy reduction behind the analytic score
-and Hessian of the GB2 likelihood; it has no compiled form.
+softplus_wsum is the weighted softplus sum of the GB2 log-likelihood,
+evaluated once per simplex step; softplus_wsum_derivs is the fused pass
+behind the analytic score and Hessian that the Newton steps use.
+perfbench reports the cost per element of softplus_wsum
+(``kernels.ns_per_elem.*`` under ``--trace 1``).  BACKEND names the
+implementation and is recorded with every benchmark result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from . import _fastkern as _impl
-
-    BACKEND = "c-ext"
-except ImportError:  # pragma: no cover - depends on the build environment
-    _impl = None
-    BACKEND = "numpy"
+BACKEND = "numpy"
 
 
 def softplus(t: np.ndarray) -> np.ndarray:
-    """Elementwise log(1 + e^t), overflow-safe. Numpy reference form."""
+    """Elementwise log(1 + e^t), overflow-safe."""
     t = np.asarray(t, dtype=np.float64)
     out = np.maximum(t, 0.0)
     out += np.log1p(np.exp(-np.abs(t)))
@@ -34,12 +26,10 @@ def softplus(t: np.ndarray) -> np.ndarray:
 def softplus_wsum(lc: np.ndarray, w: np.ndarray, q: float, lc1: float) -> float:
     """sum(w[i] * softplus(q * (lc[i] - lc1))).
 
-    lc and w must be contiguous float64 arrays of equal length; this is
-    the hot reduction of the weighted GB2 log-likelihood, called once per
+    lc and w are float64 arrays of equal length; this is the hot
+    reduction of the weighted GB2 log-likelihood, called once per
     objective evaluation with lc fixed and (q, lc1) varying.
     """
-    if _impl is not None:
-        return _impl.softplus_wsum(lc, w, q, lc1)
     return float(w @ softplus(q * (lc - lc1)))
 
 

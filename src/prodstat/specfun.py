@@ -1,11 +1,10 @@
 """Special functions for heavy-tail work.
 
 log-gamma, log-beta, the regularized incomplete beta function, and the
-gamma function at negative non-integer arguments.  The incomplete beta
-is a continued fraction (modified Lentz), split by the standard symmetry
-so the fraction always converges fast; the negative-argument gamma uses
-the recurrence Gamma(x) = Gamma(x+n) / (x (x+1) ... (x+n-1)), which has
-no cancellation issues near the poles, unlike the reflection formula.
+gamma function at negative non-integer arguments.  Each is a validated
+call to the standard library or to scipy.special: the checks here fix
+the domain (ValueError outside it, including near the poles of Gamma),
+and the library does the arithmetic.
 
 All functions are pure and operate on Python floats.
 """
@@ -14,9 +13,8 @@ from __future__ import annotations
 
 import math
 
-_CF_MAX_ITER = 300       # continued-fraction iteration cap
-_CF_EPS = 1e-14          # continued-fraction convergence threshold
-_FPMIN = 1e-300          # underflow guard in Lentz's method
+from scipy.special import betainc
+
 _POLE_TOL = 1e-12        # distance to a non-positive integer treated as a pole
 
 
@@ -35,82 +33,19 @@ def log_beta(s: float, t: float) -> float:
 
 
 def gamma_neg(x: float) -> float:
-    """Gamma(x) for non-integer x, including x < 0, |x| < 170.
-
-    Negative arguments are lifted to (0, 1) by the recurrence
-    Gamma(x) = Gamma(x + n) / (x (x+1) ... (x+n-1)).
-    """
+    """Gamma(x) for non-integer x, including x < 0, |x| < 170."""
     if not math.isfinite(x) or abs(x) >= 170.0:
         raise ValueError(f"gamma_neg requires finite |x| < 170, got {x!r}")
     r = round(x)
     if r <= 0 and abs(x - r) < _POLE_TOL:
         raise ValueError(f"gamma_neg pole at non-positive integer x = {x!r}")
-    if x > 0.0:
-        return math.gamma(x)
-    n = math.ceil(-x)            # x + n lands in (0, 1), never on an integer
-    denom = 1.0
-    for k in range(n):
-        denom *= x + k
-    return math.gamma(x + n) / denom
+    return math.gamma(x)
 
 
 def reg_inc_beta(z: float, s: float, t: float) -> float:
-    """Regularized incomplete beta I_z(s, t) for z in [0, 1], s, t > 0.
-
-    Continued-fraction evaluation with the symmetry split
-    I_z(s, t) = 1 - I_{1-z}(t, s) applied when z is past the fraction's
-    fast-convergence region z < (s + 1) / (s + t + 2).
-    """
+    """Regularized incomplete beta I_z(s, t) for z in [0, 1], s, t > 0."""
     if not (0.0 <= z <= 1.0):
         raise ValueError(f"reg_inc_beta requires 0 <= z <= 1, got {z!r}")
     if not (s > 0.0 and t > 0.0) or math.isinf(s) or math.isinf(t):
         raise ValueError(f"reg_inc_beta requires finite s, t > 0, got {s!r}, {t!r}")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return 1.0
-    log_front = (s * math.log(z) + t * math.log1p(-z) - log_beta(s, t))
-    if z < (s + 1.0) / (s + t + 2.0):
-        return math.exp(log_front) * _beta_cf(z, s, t) / s
-    return 1.0 - math.exp(log_front) * _beta_cf(1.0 - z, t, s) / t
-
-
-def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction did not converge in "
-        f"{_CF_MAX_ITER} iterations (x={x!r}, a={a!r}, b={b!r})")
+    return float(betainc(s, t, z))

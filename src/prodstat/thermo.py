@@ -393,15 +393,15 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     points = []
     prev_demand = math.inf
     for beta in grid:
-        d_mid = demand(m, beta)
+        m1, _ = _laplace_parts(m, 1.0, beta)
+        m2b, _ = _laplace_parts(m, 2.0, beta)
+        z, _ = _laplace_parts(m, 0.0, beta)
+        d_mid = m1 / z
         d_lo = demand(m, beta * (1.0 - _FD_STEP))
         d_hi = demand(m, beta * (1.0 + _FD_STEP))
         dd_dbeta = (d_hi - d_lo) / (2.0 * beta * _FD_STEP)
         dd_dt_fd = -beta * beta * dd_dbeta
-        m1, _ = _laplace_parts(m, 1.0, beta)
-        m2b, _ = _laplace_parts(m, 2.0, beta)
-        z, _ = _laplace_parts(m, 0.0, beta)
-        var = m2b / z - (m1 / z) ** 2
+        var = m2b / z - d_mid ** 2
         dd_dt_var = beta * beta * var
 
         denom = max(abs(dd_dt_fd), abs(dd_dt_var))

@@ -1,5 +1,6 @@
-"""The weighted-softplus hot kernel: compiled and numpy paths must agree
-to float rounding across the full argument range."""
+"""The likelihood kernels: the weighted softplus sum and the fused
+derivative pass must match direct numpy references to float rounding
+across the full argument range."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def _reference(lc, w, q, lc1):
 
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("c-ext", "numpy")
+    assert kernels.BACKEND == "numpy"
 
 
 def test_agreement_random():
