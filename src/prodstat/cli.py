@@ -35,6 +35,8 @@ from .errors import (EmptyYear, InsufficientData, SchemaError,
 from .superstat import ParetoIndices, Regime, SectorClass, kappa_from_mus
 
 _ENV_SEED = "PRODSTAT_SEED"
+_ORDER_TOL = 0.5       # allowed |observed / predicted - 1| expansion error order
+_ORDER_FLOOR = 1e-9    # D/mean0 and Z noise bound: 1000x the quadrature target
 _CLASS_FLAGS = {"M": SectorClass.MANUFACTURING,
                 "N": SectorClass.NONMANUFACTURING}
 
@@ -376,6 +378,51 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _deficit_errors(model: thermo.ThermoModel, beta: float):
+    """Relative errors of the expansions' demand deficit mean0 - D and
+    partition deficit 1 - Z at beta, and for each the error below which
+    quadrature noise in the deficit dominates it."""
+    d_def = model.mean0 - thermo.demand(model, beta)
+    z_def = 1.0 - thermo.partition(model, beta)
+    errs = (abs((model.mean0 - thermo.demand_expansion(model, beta)) / d_def - 1.0),
+            abs((1.0 - thermo.partition_expansion(model, beta)) / z_def - 1.0))
+    return errs, (_ORDER_FLOOR * model.mean0 / d_def, _ORDER_FLOOR / z_def)
+
+
+def _check_expansion(model: thermo.ThermoModel, grid: np.ndarray) -> dict:
+    """Check the small-beta expansions at up to three grid points with
+    c0*beta < 0.01: over each step from the previous point, the observed
+    log-log slope of each relative deficit error must be within a
+    fraction _ORDER_TOL of the order thermo.expansion_error_orders
+    predicts.  A wrong expansion coefficient leaves an error that does
+    not shrink.  One point in the regime is paired with half its beta."""
+    small = [float(b) for b in grid if model.c0 * b < 0.01][:3]
+    if not small:
+        return {"checked": False}
+    if len(small) == 1:
+        small.insert(0, 0.5 * small[0])
+    points = []
+    prev = None
+    for beta in small:
+        errs, floors = _deficit_errors(model, beta)
+        point = {"beta": beta, "demand_deficit_rel_err": errs[0],
+                 "partition_deficit_rel_err": errs[1], "passed": True}
+        if prev is not None:
+            p_beta, p_errs, p_floors = prev
+            predicted = thermo.expansion_error_orders(
+                model, model.c0 * math.sqrt(p_beta * beta))
+            for i, name in enumerate(("demand", "partition")):
+                order = None
+                if errs[i] > floors[i] and p_errs[i] > p_floors[i]:
+                    order = math.log(errs[i] / p_errs[i]) / math.log(beta / p_beta)
+                    point["passed"] &= abs(order / predicted[i] - 1.0) <= _ORDER_TOL
+                point[f"{name}_order"] = order
+                point[f"{name}_order_predicted"] = predicted[i]
+        points.append(point)
+        prev = (beta, errs, floors)
+    return {"checked": True, "order_tolerance": _ORDER_TOL, "points": points}
+
+
 def _cmd_thermo(args) -> int:
     model = _parse_model(args.model)
     grid = _parse_beta_grid(args.beta_grid)
@@ -396,23 +443,8 @@ def _cmd_thermo(args) -> int:
     else:
         high_ok = d_hi < 1e-3 * model.mean0
 
-    expansion = {"checked": False}
-    exp_ok = True
-    small = [float(b) for b in grid if model.c0 * b < 0.01][:3]
-    if small:
-        checks = []
-        for beta in small:
-            d_quad = thermo.demand(model, beta)
-            d_exp = thermo.demand_expansion(model, beta)
-            z_quad = thermo.partition(model, beta)
-            z_exp = thermo.partition_expansion(model, beta)
-            d_rel = abs((model.mean0 - d_exp) / (model.mean0 - d_quad) - 1.0)
-            z_rel = abs((1.0 - z_exp) / (1.0 - z_quad) - 1.0)
-            ok = d_rel <= 0.05 and z_rel <= 0.05
-            exp_ok = exp_ok and ok
-            checks.append({"beta": beta, "demand_deficit_rel_err": d_rel,
-                           "partition_deficit_rel_err": z_rel, "passed": ok})
-        expansion = {"checked": True, "points": checks}
+    expansion = _check_expansion(model, grid)
+    exp_ok = all(p["passed"] for p in expansion.get("points", ()))
 
     passed = bool(mono.all_passed and low_ok and high_ok and exp_ok)
     payload = {"manifest": manifest.to_dict(),

@@ -10,15 +10,15 @@ with mu, nu, q, c1 > 0.  The upper tail is Pareto with index mu
 sharpness of the crossover and c1 its location.
 
 Fitting maximizes sum_i w_i ln p(c_i) over the log-transformed
-parameters theta = (ln mu, ln nu, ln q, ln c1).  A derivative-free
-simplex search from five deterministic starts finds the basin (the
-globalisation step), and damped Newton steps on the exact score and
-Hessian finish at the optimum.  The data enter the likelihood only
-through weighted softplus sums, so the score and Hessian cost one fused
-pass over the data (kernels.softplus_wsum_derivs) plus digamma and
-trigamma of the log-beta arguments.  The bootstrap stderr of mu refits
-each resampled replicate with the same damped-Newton path, warm-started
-at the point estimate, and uses only the replicates that converged.
+parameters theta = (ln mu, ln nu, ln q, ln c1) with damped Newton
+steps on the exact score and Hessian, one path from each of five
+deterministic starts; the best path wins (the globalisation step).  The
+data enter the likelihood only through weighted softplus sums, so the
+objective, score and Hessian cost one fused pass over the data
+(kernels.softplus_wsum) plus digamma and trigamma of the log-beta
+arguments.  The bootstrap stderr of mu refits each resampled replicate
+with the same damped-Newton path, warm-started at the point estimate,
+and uses only the replicates that converged.
 Per-observation weights make worker-side fits (weight = employee count)
 identical in law to exploding each firm into that many observations, at
 a fraction of the cost.
@@ -37,11 +37,6 @@ from .errors import InsufficientData
 from .specfun import log_beta, reg_inc_beta
 
 _MIN_OBS = 100               # fits below this are refused
-_N_STARTS = 5                # deterministic multi-start count
-_MAX_ITER = 2000             # simplex iteration cap per start
-_SIMPLEX_STEP = 0.25         # initial simplex edge (log-parameter space)
-_FTOL_REL = 1e-8             # relative objective-improvement stop
-_XTOL = 1e-9                 # simplex diameter stop (log-parameter space)
 _N_BOOTSTRAP = 200           # replicates behind mu_stderr
 _BOOTSTRAP_SEED = 20240917   # fixed so repeated fits are reproducible
 _THETA_BOUND = 30.0          # |log parameter| guard against degeneracy
@@ -90,10 +85,6 @@ class FitResult:
             raise ValueError("mu_stderr_hessian must be >= 0")
 
 
-def _softplus(x: float) -> float:
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def pdf(p: Gb2Params, c) -> float | np.ndarray:
     """Density at c >= 0.  Evaluated in log space; pdf(p, 0) = 0."""
     arr = np.asarray(c, dtype=np.float64)
@@ -118,7 +109,7 @@ def ccdf(p: Gb2Params, c: float) -> float:
         raise ValueError("ccdf requires finite c >= 0")
     if c == 0.0:
         return 1.0
-    z = math.exp(-_softplus(p.q * math.log(c / p.c1)))
+    z = math.exp(-float(kernels.softplus(p.q * math.log(c / p.c1))))
     return reg_inc_beta(z, p.mu / p.q, p.nu / p.q)
 
 
@@ -159,31 +150,10 @@ def tail_scale(p: Gb2Params) -> float:
 # fitting
 
 
-def _neg_log_likelihood(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
-                        w_total: float, wlc_total: float) -> float:
-    """Negative weighted log-likelihood at theta = (ln mu, ln nu, ln q, ln c1).
-
-    Only the softplus reduction depends on the data; everything else is
-    a function of theta and two precomputed scalars.
-    """
-    if np.max(np.abs(theta)) > _THETA_BOUND:
-        return math.inf
-    lmu, lnu, lq, lc1 = theta
-    mu = math.exp(lmu)
-    nu = math.exp(lnu)
-    q = math.exp(lq)
-    lb = log_beta(mu / q, nu / q)
-    kern = kernels.softplus_wsum(lc, w, q, lc1)
-    ll = (w_total * (lq - lb) + (nu - 1.0) * wlc_total
-          - nu * w_total * lc1 - (mu + nu) / q * kern)
-    if math.isnan(ll):
-        return math.inf
-    return -ll
-
-
 def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
                      w_total: float, wlc_total: float):
-    """_neg_log_likelihood with its exact gradient and Hessian in theta.
+    """Negative weighted log-likelihood at theta = (ln mu, ln nu, ln q,
+    ln c1) with its exact gradient and Hessian in theta.
 
     Returns (f, g, H); where the objective or a derivative is not finite,
     f is inf and g, H are None.  With a = mu/q, b = nu/q, m = a + b the
@@ -201,7 +171,7 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     a = math.exp(lmu) / q
     b = nu / q
     m = a + b
-    k, k0, k1, h0, h1, h2 = kernels.softplus_wsum_derivs(lc, w, q, lc1)
+    k, k0, k1, h0, h1, h2 = kernels.softplus_wsum(lc, w, q, lc1)
     wt, st = w_total, wlc_total
     f = float(wt * (log_beta(a, b) - lq) - (nu - 1.0) * st + nu * wt * lc1
               + m * k)
@@ -282,7 +252,7 @@ class _NewtonPath:
 
 def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
             w_total: float, wlc_total: float) -> _NewtonPath:
-    """Damped Newton minimization of _neg_log_likelihood from theta0.
+    """Damped Newton minimization of the negative log-likelihood from theta0.
 
     Each step solves with the Hessian, shifted by lam*I until its
     Cholesky factorization succeeds, and halves the step until the
@@ -322,63 +292,6 @@ def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
     return _NewtonPath(theta=theta, f=f, hess=h, n_iterations=n_iter,
                        n_passes=n_passes, n_damped=n_damped,
                        converged=converged)
-
-
-def _nelder_mead(f, x0: np.ndarray):
-    """Minimize f from x0 with the standard simplex moves.
-
-    Stops when the relative objective spread across the simplex drops
-    below _FTOL_REL, the simplex diameter below _XTOL, or after _MAX_ITER
-    iterations; Newton steps finish the search either way.  Returns
-    (x_best, f_best, n_iterations).
-    """
-    n = len(x0)
-    pts = [np.array(x0, dtype=np.float64)]
-    for i in range(n):
-        x = np.array(x0, dtype=np.float64)
-        x[i] += _SIMPLEX_STEP
-        pts.append(x)
-    simplex = np.array(pts)
-    fvals = np.array([f(x) for x in simplex])
-
-    n_iter = 0
-    while n_iter < _MAX_ITER:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
-
-        f_spread = fvals[-1] - fvals[0]
-        if (f_spread <= _FTOL_REL * (abs(fvals[0]) + 1e-12)
-                or np.max(np.abs(simplex[1:] - simplex[0])) <= _XTOL):
-            break
-
-        n_iter += 1
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + (centroid - simplex[-1])        # reflection
-        fr = f(xr)
-        if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])  # expansion
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:                          # outside contraction
-                xc = centroid + 0.5 * (xr - centroid)
-            else:                                       # inside contraction
-                xc = centroid - 0.5 * (centroid - simplex[-1])
-            fc = f(xc)
-            if fc < min(fr, fvals[-1]):
-                simplex[-1], fvals[-1] = xc, fc
-            else:                                       # shrink toward best
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                fvals[1:] = [f(x) for x in simplex[1:]]
-
-    best = int(np.argmin(fvals))
-    return simplex[best].copy(), float(fvals[best]), n_iter
 
 
 def _tail_index_guess(c_sorted_desc: np.ndarray, w_desc: np.ndarray) -> float:
@@ -425,18 +338,17 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
         are used (rank-size tail slope for mu, weighted median for c1,
         nu = q = 1, plus four fixed perturbations).
 
-    The simplex search runs from each start and the best final
-    likelihood wins; this globalises the fit.  Damped Newton steps on
-    the exact score and Hessian then polish the winner to the optimum.
+    A damped-Newton path on the exact score and Hessian runs from each
+    start; the path with the lowest objective wins, converged paths
+    before unconverged ones.  This globalises the fit.
 
     Returns
     -------
     FitResult with the fitted parameters and weighted log-likelihood;
-    converged, which is the Newton polish's convergence; n_iterations,
-    the simplex iterations plus the polish's Newton steps (bootstrap
-    excluded); n_evaluations, every likelihood pass the fit made
-    (simplex objective evaluations plus fused derivative passes of the
-    polish and the bootstrap); mu_stderr, the standard deviation of mu
+    converged, the winning path's convergence; n_iterations, the Newton
+    steps of all start paths (bootstrap excluded); n_evaluations, every
+    likelihood pass the fit made (fused passes of the start paths and
+    the bootstrap); mu_stderr, the standard deviation of mu
     over the converged ones of 200 nonparametric bootstrap replicates
     (observations resampled uniformly, carrying their weights), each
     refit by a damped-Newton path warm-started at the point estimate,
@@ -473,13 +385,6 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     w_total = float(np.sum(uw))
     wlc_total = float(uw @ lc)
 
-    n_evals = 0
-
-    def objective(theta):
-        nonlocal n_evals
-        n_evals += 1
-        return _neg_log_likelihood(theta, lc, uw, w_total, wlc_total)
-
     if init is not None:
         starts = [np.log([init.mu, init.nu, init.q, init.c1])]
     else:
@@ -489,30 +394,23 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
         base = np.log([mu0, 1.0, 1.0, c1_0])
         starts = [base + np.log(fac) for fac in _START_FACTORS]
 
-    best_theta = None
-    best_f = math.inf
-    total_iter = 0
-    for theta0 in starts:
-        theta, fval, n_iter = _nelder_mead(objective, theta0)
-        total_iter += n_iter
-        if fval < best_f:
-            best_theta, best_f = theta, fval
-
-    polish = _newton(best_theta, lc, uw, w_total, wlc_total)
-    theta_hat = polish.theta
+    paths = [_newton(theta0, lc, uw, w_total, wlc_total) for theta0 in starts]
+    best = min(paths, key=lambda path: (not path.converged, path.f))
+    theta_hat = best.theta
     lmu, lnu, lq, lc1 = theta_hat
     params = Gb2Params(math.exp(lmu), math.exp(lnu), math.exp(lq), math.exp(lc1))
 
     mu_stderr, n_boot_ok, n_boot_passes = _bootstrap_mu_stderr(
         theta_hat, lc, inv, w, n_obs)
 
-    return FitResult(params=params, log_likelihood=-polish.f, n_obs=n_obs,
-                     mu_stderr=mu_stderr, converged=polish.converged,
-                     n_iterations=total_iter + polish.n_iterations,
-                     n_evaluations=n_evals + polish.n_passes + n_boot_passes,
+    return FitResult(params=params, log_likelihood=-best.f, n_obs=n_obs,
+                     mu_stderr=mu_stderr, converged=best.converged,
+                     n_iterations=sum(path.n_iterations for path in paths),
+                     n_evaluations=(sum(path.n_passes for path in paths)
+                                    + n_boot_passes),
                      bootstrap_converged=n_boot_ok,
                      mu_stderr_hessian=_mu_stderr_hessian(
-                         theta_hat, polish.hess, n_obs / w_total))
+                         theta_hat, best.hess, n_obs / w_total))
 
 
 def _mu_stderr_hessian(theta: np.ndarray, hess: np.ndarray | None,

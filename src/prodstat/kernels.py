@@ -1,9 +1,9 @@
-"""Likelihood inner-loop reductions, in numpy.
+"""The likelihood inner-loop reduction, in numpy.
 
-softplus_wsum is the weighted softplus sum of the GB2 log-likelihood,
-evaluated once per simplex step; softplus_wsum_derivs is the fused pass
-behind the analytic score and Hessian that the Newton steps use.
-perfbench reports the cost per element of softplus_wsum
+softplus_wsum is the one pass over the data of a GB2 likelihood
+evaluation: the weighted softplus sum of the log-likelihood and the five
+further sums behind its exact score and Hessian, which every Newton step
+of the fit needs.  perfbench reports its cost per element
 (``kernels.ns_per_elem.*`` under ``--trace 1``).  BACKEND names the
 implementation and is recorded with every benchmark result.
 """
@@ -23,23 +23,14 @@ def softplus(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def softplus_wsum(lc: np.ndarray, w: np.ndarray, q: float, lc1: float) -> float:
-    """sum(w[i] * softplus(q * (lc[i] - lc1))).
-
-    lc and w are float64 arrays of equal length; this is the hot
-    reduction of the weighted GB2 log-likelihood, called once per
-    objective evaluation with lc fixed and (q, lc1) varying.
-    """
-    return float(w @ softplus(q * (lc - lc1)))
-
-
-def softplus_wsum_derivs(lc: np.ndarray, w: np.ndarray, q: float,
-                         lc1: float) -> np.ndarray:
+def softplus_wsum(lc: np.ndarray, w: np.ndarray, q: float, lc1: float) -> np.ndarray:
     """The six weighted sums behind the GB2 likelihood and its derivatives.
 
     With d = lc - lc1, t = q*d, s = sigmoid(t) and v = s*(1-s), returns
     [sum w*softplus(t), sum w*s, sum w*s*d, sum w*v, sum w*v*d,
-    sum w*v*d^2] from one pass that shares a single exp(-|t|).
+    sum w*v*d^2] from one pass that shares a single exp(-|t|).  lc and
+    w are float64 arrays of equal length; lc is fixed over a fit while
+    (q, lc1) vary.
     """
     d = lc - lc1
     t = q * d

@@ -359,6 +359,34 @@ def demand_expansion(m: ThermoModel, beta: float) -> float:
             * m.c0 ** m.mu_f * beta ** (m.mu_f - 1.0))
 
 
+def expansion_error_orders(m: ThermoModel, x: float) -> tuple[float, float]:
+    """Predicted log-log slopes, at c0*beta = x, of the relative deficit
+    errors of demand_expansion and partition_expansion: the order in x
+    of the first neglected term relative to the leading kept one.
+
+    With e = |mu_f - 2|, the demand error is O(x^min(e, 1)); as mu_f
+    approaches 2 its coefficient and that of the kept linear term both
+    diverge like 1/e, and the slope becomes min(e, 1) / (1 - x^min(e, 1)),
+    whose e -> 0 limit 1/|ln x| is the slope of the log branch's
+    O(1/ln x) error.  The partition error is O(x^min(mu_f - 1, 2)) above
+    mu_f = 2 and O(x) at and below it.  Below mu_f = 2 a GB2 tail carries
+    a (c/c1)^-q correction, which adds an O(x^q) demand and O(x^(mu_f-1+q))
+    partition error.  The exponential model's errors are O(x) and O(x^2).
+    """
+    if math.isinf(m.mu_f):
+        return 1.0, 2.0
+    if abs(m.mu_f - 2.0) < _BRANCH_TOL:
+        return 1.0 / abs(math.log(x)), 1.0
+    e = min(abs(m.mu_f - 2.0), 1.0)
+    d_order = e / (1.0 - x ** e)
+    if m.mu_f > 2.0:
+        return d_order, min(m.mu_f - 1.0, 2.0)
+    if isinstance(m.firm_pdf, gb2.Gb2Params):
+        q = m.firm_pdf.q
+        return min(d_order, q), min(1.0, m.mu_f - 1.0 + q)
+    return d_order, 1.0
+
+
 # ---------------------------------------------------------------------------
 # monotonicity report
 

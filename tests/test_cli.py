@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import gb2
+from prodstat import gb2, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
@@ -245,6 +245,54 @@ def test_thermo_gb2_and_tail(tmp_path):
     assert main(["thermo", "--model", "tail:mu=1.5,c0=1.0",
                  "--beta-grid", "1e-6:10:12",
                  "--out", str(tmp_path / "b.json")]) == 0
+
+
+# one model per branch of thermo.demand_expansion: mu_f > 2 (the README
+# gb2 model and the exponential), 1 < mu_f < 2 (the README tail model and
+# a gb2) and the mu_f = 2 log branch (tail and gb2)
+BRANCH_MODELS = ["gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0", "exponential:mean=1.0",
+                 "tail:mu=1.5,c0=1.0", "gb2:mu=1.5,nu=1.0,q=1.0,c1=1.0",
+                 "tail:mu=2.0,c0=1.0", "gb2:mu=2.0,nu=1.0,q=1.0,c1=1.0"]
+
+
+@pytest.mark.parametrize("model", BRANCH_MODELS)
+def test_thermo_expansion_error_shrinks_at_predicted_order(model, tmp_path):
+    # the README invocation: default grid, three points in the regime
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", model, "--out", str(out)]) == 0
+    expansion = json.loads(out.read_text())["expansion"]
+    assert expansion["checked"] is True
+    points = expansion["points"]
+    assert len(points) == 3 and all(p["passed"] for p in points)
+    for p in points[1:]:
+        assert p["demand_order"] == pytest.approx(p["demand_order_predicted"],
+                                                  rel=expansion["order_tolerance"])
+
+
+@pytest.mark.parametrize("model", BRANCH_MODELS)
+def test_thermo_wrong_expansion_coefficient_exit_four(model, tmp_path,
+                                                      monkeypatch):
+    # halving the deficit coefficient leaves an error that tends to 1/2
+    # instead of shrinking toward beta -> 0
+    exact = thermo.demand_expansion
+    monkeypatch.setattr(thermo, "demand_expansion",
+                        lambda m, beta: m.mean0 - 0.5 * (m.mean0 - exact(m, beta)))
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", model, "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    assert payload["monotonicity"]["all_passed"] is True
+    assert not all(p["passed"] for p in payload["expansion"]["points"])
+
+
+def test_thermo_single_regime_point_is_paired(tmp_path):
+    # only beta = 1e-3 has c0*beta < 0.01; half of it supplies the order
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", "tail:mu=1.5,c0=1.0",
+                 "--beta-grid", "1e-3:1:2", "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["expansion"]["points"]
+    assert [p["beta"] for p in points] == [5e-4, 1e-3]
+    assert points[1]["demand_order"] is not None
 
 
 def test_thermo_bad_model_exit_one(capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from prodstat import gb2
+from prodstat import gb2, kernels
 from prodstat.errors import InsufficientData
+from prodstat.specfun import log_beta
 
 # (mu, nu, q, c1, n) -> E[c^n]
 MOMENT_REF = [
@@ -167,16 +168,15 @@ def test_fit_duplicated_dataset_identical():
 
 
 def test_fit_scale_equivariance():
-    # the likelihood is exactly scale-equivariant; the optima agree up to
-    # simplex stopping noise since the two runs walk shifted trajectories
+    # the likelihood is exactly scale-equivariant
     p = gb2.Gb2Params(2.0, 1.0, 1.0, 1.0)
     c = gb2.sample(p, 5000, 11)
     res1 = gb2.fit_mle(_pairs(c))
     res2 = gb2.fit_mle(_pairs(1000.0 * c))
-    assert res2.params.mu == pytest.approx(res1.params.mu, rel=1e-3)
-    assert res2.params.nu == pytest.approx(res1.params.nu, rel=1e-3)
-    assert res2.params.q == pytest.approx(res1.params.q, rel=1e-3)
-    assert res2.params.c1 == pytest.approx(1000.0 * res1.params.c1, rel=1e-3)
+    assert res2.params.mu == pytest.approx(res1.params.mu, rel=1e-5)
+    assert res2.params.nu == pytest.approx(res1.params.nu, rel=1e-5)
+    assert res2.params.q == pytest.approx(res1.params.q, rel=1e-5)
+    assert res2.params.c1 == pytest.approx(1000.0 * res1.params.c1, rel=1e-5)
 
 
 def test_fit_weighted_tilt():
@@ -212,6 +212,9 @@ PANEL_LAW = gb2.Gb2Params(2.2, 2.0, 3.0, 1.0)
 # mu_stderr of the 2000-observation sample under the former 200-replicate
 # Nelder-Mead bootstrap (simplex refits from the point estimate)
 SIMPLEX_ERA_MU_STDERR = 0.1842847366487273
+# the same under the damped-Newton bootstrap from a simplex-found optimum;
+# globalising with Newton paths moves the optimum by ~1e-7 relative
+NEWTON_BOOTSTRAP_MU_STDERR = 0.18436178006625512
 
 THETA_POINTS = [
     np.array([0.8, 0.7, 1.1, 0.05]),
@@ -222,6 +225,16 @@ THETA_POINTS = [
 
 def _panel_sample():
     return gb2.sample(PANEL_LAW, 2000, 5)
+
+
+def _reference_nll(theta, lc, w, w_total, wlc_total):
+    """Negative weighted log-likelihood written out from the density,
+    with the data sum taken by kernels.softplus, not the fused pass."""
+    lmu, lnu, lq, lc1 = theta
+    mu, nu, q = math.exp(lmu), math.exp(lnu), math.exp(lq)
+    data = w @ kernels.softplus(q * (lc - lc1))
+    return -(w_total * (lq - log_beta(mu / q, nu / q)) + (nu - 1.0) * wlc_total
+             - nu * w_total * lc1 - (mu + nu) / q * data)
 
 
 def _likelihood_args(weights):
@@ -237,7 +250,7 @@ def test_analytic_derivatives_match_finite_differences(theta, weights):
     args = _likelihood_args(weights)
 
     def f(x):
-        return gb2._neg_log_likelihood(x, *args)
+        return _reference_nll(x, *args)
 
     val, g, h = gb2._nll_derivatives(theta, *args)
     assert val == pytest.approx(f(theta), rel=1e-13)
@@ -253,6 +266,20 @@ def test_analytic_derivatives_match_finite_differences(theta, weights):
     assert h == pytest.approx(h_fd, rel=1e-6, abs=1e-6 * np.max(np.abs(h)))
 
 
+def test_starts_reach_one_optimum():
+    # the five default starts, a start at the true law and a far start
+    data = _pairs(_panel_sample())
+    fits = [gb2.fit_mle(data), gb2.fit_mle(data, init=PANEL_LAW),
+            gb2.fit_mle(data, init=gb2.Gb2Params(6.0, 0.3, 0.5, 5.0))]
+    for res in fits:
+        assert res.converged
+        for name in ("mu", "nu", "q", "c1"):
+            assert getattr(res.params, name) == pytest.approx(
+                getattr(fits[0].params, name), rel=1e-5)
+        assert res.log_likelihood == pytest.approx(fits[0].log_likelihood,
+                                                   rel=1e-12)
+
+
 def test_derivatives_outside_bound_are_inf():
     args = _likelihood_args("unit")
     f, g, h = gb2._nll_derivatives(np.array([31.0, 0.0, 0.0, 0.0]), *args)
@@ -264,6 +291,7 @@ def test_bootstrap_matches_simplex_era():
     assert res.converged
     assert res.bootstrap_converged == 200
     assert res.mu_stderr == pytest.approx(SIMPLEX_ERA_MU_STDERR, rel=0.02)
+    assert res.mu_stderr == pytest.approx(NEWTON_BOOTSTRAP_MU_STDERR, rel=1e-6)
     assert res.mu_stderr_hessian == pytest.approx(res.mu_stderr, rel=0.25)
     assert res.n_evaluations > res.n_iterations
 

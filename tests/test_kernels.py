@@ -1,6 +1,5 @@
-"""The likelihood kernels: the weighted softplus sum and the fused
-derivative pass must match direct numpy references to float rounding
-across the full argument range."""
+"""The likelihood kernel: the six sums of the fused pass must match direct
+numpy references to float rounding across the full argument range."""
 
 import numpy as np
 import pytest
@@ -17,6 +16,15 @@ def test_backend_reported():
     assert kernels.BACKEND == "numpy"
 
 
+def _derivs_reference(lc, w, q, lc1):
+    d = lc - lc1
+    t = q * d
+    s = 1.0 / (1.0 + np.exp(-t))
+    v = s * (1.0 - s)
+    return np.array([_reference(lc, w, q, lc1), w @ s, w @ (s * d),
+                     w @ v, w @ (v * d), w @ (v * d * d)])
+
+
 def test_agreement_random():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -26,28 +34,32 @@ def test_agreement_random():
         q = 10.0 ** rng.uniform(-1, 1)
         lc1 = rng.normal(0.0, 2.0)
         got = kernels.softplus_wsum(lc, w, q, lc1)
-        ref = _reference(lc, w, q, lc1)
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert got[0] == pytest.approx(_reference(lc, w, q, lc1),
+                                       rel=1e-12, abs=1e-12)
+        ref = _derivs_reference(lc, w, q, lc1)
+        assert got == pytest.approx(ref, rel=1e-10, abs=1e-10 * np.max(np.abs(ref)))
 
 
 def test_extreme_arguments():
     # far tails: softplus(t) -> t for large t, -> exp(t) for very negative t
     lc = np.array([-800.0, -50.0, -1.0, 0.0, 1.0, 50.0, 800.0])
     w = np.ones_like(lc)
-    got = kernels.softplus_wsum(lc, w, 1.0, 0.0)
+    got = kernels.softplus_wsum(lc, w, 1.0, 0.0)[0]
     ref = _reference(lc, w, 1.0, 0.0)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_empty_and_zero_weights():
-    assert kernels.softplus_wsum(np.array([]), np.array([]), 1.0, 0.0) == 0.0
+    assert kernels.softplus_wsum(np.array([]), np.array([]), 1.0, 0.0)[0] == 0.0
     lc = np.array([1.0, 2.0])
-    assert kernels.softplus_wsum(lc, np.zeros(2), 1.0, 0.0) == 0.0
+    assert kernels.softplus_wsum(lc, np.zeros(2), 1.0, 0.0)[0] == 0.0
 
 
 def test_length_mismatch():
-    with pytest.raises(ValueError):
-        kernels.softplus_wsum(np.zeros(3), np.zeros(2), 1.0, 0.0)
+    # lengths that broadcast (one of them 1) are refused as well
+    for n_lc, n_w in [(3, 2), (2, 3), (3, 1), (1, 3)]:
+        with pytest.raises(ValueError):
+            kernels.softplus_wsum(np.zeros(n_lc), np.ones(n_w), 1.0, 0.0)
 
 
 def test_softplus_scalar_properties():
@@ -60,15 +72,6 @@ def test_softplus_scalar_properties():
     assert np.allclose(s - kernels.softplus(-t), t, atol=1e-12)
 
 
-def _derivs_reference(lc, w, q, lc1):
-    d = lc - lc1
-    t = q * d
-    s = 1.0 / (1.0 + np.exp(-t))
-    v = s * (1.0 - s)
-    return np.array([_reference(lc, w, q, lc1), w @ s, w @ (s * d),
-                     w @ v, w @ (v * d), w @ (v * d * d)])
-
-
 def test_derivs_softplus_sum_matches_kernel():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -77,8 +80,9 @@ def test_derivs_softplus_sum_matches_kernel():
         w = rng.uniform(0.0, 100.0, n)
         q = 10.0 ** rng.uniform(-1, 1)
         lc1 = rng.normal(0.0, 2.0)
-        got = kernels.softplus_wsum_derivs(lc, w, q, lc1)
-        assert got[0] == pytest.approx(kernels.softplus_wsum(lc, w, q, lc1),
+        got = kernels.softplus_wsum(lc, w, q, lc1)
+        # the first sum is the plain weighted softplus sum
+        assert got[0] == pytest.approx(float(w @ kernels.softplus(q * (lc - lc1))),
                                        rel=1e-12, abs=1e-12)
         ref = _derivs_reference(lc, w, q, lc1)
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-10 * np.max(np.abs(ref)))
@@ -90,7 +94,7 @@ def test_derivs_extreme_arguments():
     lc = np.array([-800.0, -50.0, -1.0, 0.0, 1.0, 50.0, 800.0])
     w = np.ones_like(lc)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = kernels.softplus_wsum_derivs(lc, w, 1.0, 0.0)
+        got = kernels.softplus_wsum(lc, w, 1.0, 0.0)
     assert got[0] == pytest.approx(_reference(lc, w, 1.0, 0.0), rel=1e-12)
     s = 1.0 / (1.0 + np.exp(-np.clip(lc, -700, 700)))
     assert got[1] == pytest.approx(s.sum(), rel=1e-12)
@@ -102,8 +106,8 @@ def test_derivs_extreme_arguments():
 
 def test_derivs_empty_and_zero_weights():
     assert np.array_equal(
-        kernels.softplus_wsum_derivs(np.array([]), np.array([]), 1.0, 0.0),
+        kernels.softplus_wsum(np.array([]), np.array([]), 1.0, 0.0),
         np.zeros(6))
     lc = np.array([1.0, 2.0, 800.0])
     assert np.array_equal(
-        kernels.softplus_wsum_derivs(lc, np.zeros(3), 1.0, 0.0), np.zeros(6))
+        kernels.softplus_wsum(lc, np.zeros(3), 1.0, 0.0), np.zeros(6))

@@ -169,6 +169,27 @@ def test_expansion_log_branch_at_two():
     assert raw[2] - raw[0] > 5.0 * abs(hi - lo)
 
 
+def test_expansion_error_orders_per_branch():
+    x = 1e-3
+    assert thermo.expansion_error_orders(ThermoModel.exponential(1.0), x) == (1.0, 2.0)
+    d, z = thermo.expansion_error_orders(ThermoModel.tabulated_tail(2.0, 1.0), x)
+    assert (d, z) == (pytest.approx(1.0 / math.log(1.0 / x)), 1.0)
+    d, z = thermo.expansion_error_orders(ThermoModel.tabulated_tail(2.5, 1.0), x)
+    assert (d, z) == (pytest.approx(0.5, rel=0.05), 1.5)
+    d, z = thermo.expansion_error_orders(ThermoModel.tabulated_tail(1.5, 1.0), x)
+    assert (d, z) == (pytest.approx(0.5, rel=0.05), 1.0)
+    d, z = thermo.expansion_error_orders(ThermoModel.tabulated_tail(4.0, 1.0), x)
+    assert (d, z) == (pytest.approx(1.0, rel=0.01), 2.0)
+    # a GB2 with 1 < mu < 2 and a soft crossover: the (c/c1)^-q correction leads
+    d, z = thermo.expansion_error_orders(_gb2_model(1.5, 1.0, 0.3, 1.0), x)
+    assert (d, z) == (0.3, pytest.approx(0.8))
+    # approaching mu = 2 from either side the slope tends to the log branch's
+    log_order = 1.0 / math.log(1.0 / x)
+    for mu in (2.0 - 1e-5, 2.0 + 1e-5):
+        d, _ = thermo.expansion_error_orders(ThermoModel.tabulated_tail(mu, 1.0), x)
+        assert d == pytest.approx(log_order, rel=1e-3)
+
+
 def test_deficit_slope_fractional():
     # log-log slope of mean0 - D vs beta equals mu - 1 for 1 < mu < 2
     m = _gb2_model(1.5, 1.0, 1.0, 1.0)
