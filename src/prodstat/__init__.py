@@ -9,8 +9,8 @@ relation mu_w = mu_f - gamma + 1 by Monte Carlo allocation.
 __version__ = "0.1.0"
 
 from .errors import (DivergentMoment, EmptyYear, InsufficientData,
-                     NonConvergence, OutOfRegime, ProdstatError, RegimeError,
-                     SchemaError, TooManyBadRows, WindowError)
+                     OutOfRegime, ProdstatError, RegimeError, SchemaError,
+                     TooManyBadRows, WindowError)
 from .gb2 import FitResult, Gb2Params, fit_mle
 from .ingest import FilterConfig, build_samples, load_csv, ranksize, sector_aggregate
 from .simulate import SimConfig, SimOutput, run_sim, verify_tail_relation
@@ -22,7 +22,7 @@ from .thermo import (ThermoModel, check_monotonicity, demand,
 
 __all__ = [
     "__version__",
-    "ProdstatError", "InsufficientData", "NonConvergence", "RegimeError",
+    "ProdstatError", "InsufficientData", "RegimeError",
     "DivergentMoment", "OutOfRegime", "WindowError", "SchemaError",
     "TooManyBadRows", "EmptyYear",
     "Gb2Params", "FitResult", "fit_mle",

@@ -32,13 +32,11 @@ import numpy as np
 from . import __version__, gb2, ingest, simulate, thermo
 from .errors import (EmptyYear, InsufficientData, SchemaError,
                      TooManyBadRows, WindowError)
-from .superstat import ParetoIndices, Regime, SectorClass, kappa_from_mus
+from .superstat import ParetoIndices, Regime, kappa_from_mus
 
 _ENV_SEED = "PRODSTAT_SEED"
 _ORDER_TOL = 0.5       # allowed |observed / predicted - 1| expansion error order
 _ORDER_FLOOR = 1e-9    # D/mean0 and Z noise bound: 1000x the quadrature target
-_CLASS_FLAGS = {"M": SectorClass.MANUFACTURING,
-                "N": SectorClass.NONMANUFACTURING}
 
 
 class _UsageError(Exception):
@@ -147,28 +145,22 @@ def _filters_from_args(args) -> ingest.FilterConfig:
 
 
 def _load_build(args):
+    filters = _filters_from_args(args)
     load = ingest.load_csv(args.input)
-    build = ingest.build_samples(load.records, _filters_from_args(args))
-    return load, build
+    return load, ingest.build_samples(load.records, filters)
 
 
-def _slice_samples(samples, year: int, class_flag: str):
-    if class_flag == "all":
-        keep = lambda s: s.year == year
-    else:
-        cls = _CLASS_FLAGS[class_flag]
-        keep = lambda s: s.year == year and s.sector_class is cls
-    return [s for s in samples if keep(s)]
+def _slice_samples(samples: np.ndarray, year: int, class_flag: str) -> np.ndarray:
+    mask = samples["year"] == year
+    if class_flag != "all":
+        mask &= samples["sector_class"] == class_flag
+    return samples[mask]
 
 
-def _pairs(samples, target: str) -> np.ndarray:
-    if target == "firms":
-        rows = [(s.c, 1.0) for s in samples]
-    else:
-        rows = [(s.c, s.weight_workers) for s in samples]
-    # keep the (n, 2) shape when the slice is empty so the fit can
-    # report insufficient data instead of a shape error
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+def _pairs(samples: np.ndarray, target: str) -> np.ndarray:
+    weights = (np.ones(len(samples)) if target == "firms"
+               else samples["weight_workers"])
+    return np.column_stack((samples["c"], weights))
 
 
 def _exclusion_summary(load, build) -> dict:
@@ -245,7 +237,7 @@ def _cmd_index(args) -> int:
         indices = ParetoIndices(
             mu_f=firm_fit.params.mu, mu_w=worker_fit.params.mu,
             mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr,
-            year=year, sector_class=_CLASS_FLAGS[args.klass])
+            year=year, sector_class=ingest.CLASS_BY_CODE[args.klass])
         point = kappa_from_mus(indices)
         entry = {"year": year,
                  "mu_f": indices.mu_f, "mu_f_stderr": indices.mu_f_stderr,
@@ -473,7 +465,7 @@ def _cmd_thermo(args) -> int:
 def _cmd_ranksize(args) -> int:
     load, build = _load_build(args)
     samples = _slice_samples(build.samples, args.year, args.klass)
-    if not samples:
+    if not len(samples):
         raise EmptyYear(f"no samples for year {args.year} class {args.klass}")
     manifest = _manifest(
         "ranksize", inputs=[args.input],
@@ -481,8 +473,11 @@ def _cmd_ranksize(args) -> int:
                  "max_productivity": args.max_productivity,
                  "year": args.year, "class": args.klass,
                  "target": args.target})
-    points = ingest.ranksize(samples, weighted=(args.target == "workers"))
-    _write_tsv(args.out_tsv, manifest, ["c", "rank_fraction"], points)
+    c_desc, frac = ingest.ranksize(
+        samples["c"],
+        samples["weight_workers"] if args.target == "workers" else None)
+    _write_tsv(args.out_tsv, manifest, ["c", "rank_fraction"],
+               zip(c_desc.tolist(), frac.tolist()))
 
     if args.fit:
         pairs = _pairs(samples, args.target)
@@ -491,8 +486,7 @@ def _cmd_ranksize(args) -> int:
                   "threshold; skipping the fitted curve", file=sys.stderr)
             return 0
         result = gb2.fit_mle(pairs)
-        cs = np.geomspace(min(s.c for s in samples),
-                          max(s.c for s in samples), 200)
+        cs = np.geomspace(c_desc[-1], c_desc[0], 200)
         curve = [(float(c), gb2.ccdf(result.params, float(c))) for c in cs]
         _write_tsv(args.fit_out, manifest, ["c", "ccdf"], curve)
         return 0 if result.converged else 3
@@ -562,30 +556,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the errors main reports as a one-line message, and their exit codes
+_EXIT_CODES = {_UsageError: 1, SchemaError: 1, TooManyBadRows: 1,
+               ValueError: 1, OSError: 1, EmptyYear: 2, InsufficientData: 2}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"prodstat: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"prodstat: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, TooManyBadRows) as exc:
-        print(f"prodstat: {exc}", file=sys.stderr)
-        return 1
-    except (EmptyYear, InsufficientData) as exc:
-        print(f"prodstat: {exc}", file=sys.stderr)
-        return 2
-    except WindowError as exc:
-        print(f"prodstat: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as exc:
-        print(f"prodstat: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

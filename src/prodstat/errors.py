@@ -11,15 +11,6 @@ class InsufficientData(ProdstatError):
     """Too few observations for a reliable fit (minimum 100)."""
 
 
-class NonConvergence(ProdstatError):
-    """An optimizer hit its iteration cap.
-
-    Fitting never raises this: fit_mle returns the best point found with
-    converged=False.  The class exists so callers (notably the CLI) can
-    promote the flag to an error with a stable type.
-    """
-
-
 class RegimeError(ProdstatError):
     """Index algebra applied outside the regime where it is defined."""
 

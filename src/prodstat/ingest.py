@@ -9,27 +9,38 @@ does not become a sample lands in an exclusion ledger with a reason;
 nothing is dropped silently, and |records| = |samples| + |exclusions|
 on every build.
 
+Records and samples are numpy structured arrays, one row per firm-year
+in input order, so a slice of the panel is a boolean mask.  Records
+have the CSV's columns; samples have firm_id, year, sector_code,
+sector_class, c and weight_workers (the averaged workforce, used as
+the fit weight).  sector_class holds the CSV code, M or N.
+
 Two kinds of problems are kept apart on load: rows the parser cannot
-read (wrong field count, non-numeric tokens, unknown sector class) are
-errors and become fatal past 1% of data rows; rows that parse but
-violate a domain rule (zero workers, sector code out of range) are
-reported as load-stage exclusions and never fatal.
+read (wrong field count, non-numeric or non-finite tokens, unknown
+sector class) are errors and become fatal past 1% of data rows; rows
+that parse but violate a domain rule (zero workers, sector code out of
+range) are reported as load-stage exclusions and never fatal.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyYear, SchemaError, TooManyBadRows
 from .superstat import SectorClass
 
 SCHEMA_V1 = ("firm_id", "year", "sector_code", "sector_class",
              "value_added", "workers_eoy")
+_COLUMN_TYPES = (str, np.int64, np.int64, "U1", np.float64, np.int64)
 _BAD_ROW_FRACTION = 0.01
 _N_SECTORS = 26
+_INT_LIMIT = 2 ** 62    # keeps year - 1 and the two-year workforce sum in int64
 
 # exclusion reason codes
 R_ZERO_WORKERS = "zero workers"
@@ -41,34 +52,24 @@ R_MIN_WORKERS = "below minimum workers"
 R_CAP = "above productivity cap"
 R_DUPLICATE = "duplicate firm-year"
 
-_CLASS_BY_CODE = {"M": SectorClass.MANUFACTURING,
-                  "N": SectorClass.NONMANUFACTURING}
+# build-stage reasons in precedence order; code 0 marks a sample
+_BUILD_REASONS = ("", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE, R_MIN_WORKERS,
+                  R_CAP)
 
-
-@dataclass(frozen=True)
-class FirmRecord:
-    firm_id: str
-    year: int
-    sector_code: int
-    sector_class: SectorClass
-    value_added: float          # may be negative in raw data
-    workers_eoy: int
-
-
-@dataclass(frozen=True)
-class ProductivitySample:
-    firm_id: str
-    year: int
-    sector_code: int
-    sector_class: SectorClass
-    c: float                    # value added per averaged worker
-    weight_workers: float       # the averaged workforce, used as fit weight
+CLASS_BY_CODE = {"M": SectorClass.MANUFACTURING,
+                 "N": SectorClass.NONMANUFACTURING}
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     min_workers: float = 1.0
     max_productivity: float | None = None
+
+    def __post_init__(self):
+        for name in ("min_workers", "max_productivity"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,26 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: tuple[FirmRecord, ...]
+    records: np.ndarray                   # structured, SCHEMA_V1 columns
     errors: tuple[RowError, ...]          # malformed rows (1% fatality rule)
     exclusions: tuple[Exclusion, ...]     # parseable rows violating domain rules
 
 
 @dataclass(frozen=True)
 class BuildResult:
-    samples: tuple[ProductivitySample, ...]
+    samples: np.ndarray                   # structured, in record order
     exclusions: tuple[Exclusion, ...]
     counts: dict = field(default_factory=dict)    # reason -> count
     top_productivities: tuple[float, ...] = ()    # warn list when no cap set
+
+
+def _table(**columns: np.ndarray) -> np.ndarray:
+    """One structured array from equal-length columns."""
+    n = len(next(iter(columns.values())))
+    out = np.empty(n, dtype=[(name, col.dtype) for name, col in columns.items()])
+    for name, col in columns.items():
+        out[name] = col
+    return out
 
 
 def load_csv(path, schema_version: int = 1) -> LoadResult:
@@ -122,7 +132,7 @@ def load_csv(path, schema_version: int = 1) -> LoadResult:
                 parts.append("columns out of order")
             raise SchemaError("header mismatch; " + "; ".join(parts))
 
-        records: list[FirmRecord] = []
+        columns: tuple[list, ...] = tuple([] for _ in SCHEMA_V1)
         errors: list[RowError] = []
         exclusions: list[Exclusion] = []
         n_rows = 0
@@ -130,7 +140,7 @@ def load_csv(path, schema_version: int = 1) -> LoadResult:
             if not row:
                 continue
             n_rows += 1
-            problem = _parse_row(row, records, exclusions)
+            problem = _parse_row(row, columns, exclusions)
             if problem is not None:
                 errors.append(RowError(line_no, problem))
     if errors and len(errors) > _BAD_ROW_FRACTION * n_rows:
@@ -138,12 +148,14 @@ def load_csv(path, schema_version: int = 1) -> LoadResult:
             f"{len(errors)} malformed rows out of {n_rows} "
             f"(threshold {_BAD_ROW_FRACTION:.0%}); first: "
             f"line {errors[0].line_no}: {errors[0].message}")
-    return LoadResult(records=tuple(records), errors=tuple(errors),
+    records = _table(**{name: np.array(col, dtype=kind) for name, kind, col
+                        in zip(SCHEMA_V1, _COLUMN_TYPES, columns)})
+    return LoadResult(records=records, errors=tuple(errors),
                       exclusions=tuple(exclusions))
 
 
-def _parse_row(row, records, exclusions) -> str | None:
-    """Append to records or exclusions; return a message if malformed."""
+def _parse_row(row, columns, exclusions) -> str | None:
+    """Append to columns or exclusions; return a message if malformed."""
     if len(row) != len(SCHEMA_V1):
         return f"expected {len(SCHEMA_V1)} fields, got {len(row)}"
     firm_id, year_s, code_s, class_s, value_s, workers_s = (x.strip() for x in row)
@@ -161,8 +173,9 @@ def _parse_row(row, records, exclusions) -> str | None:
         return f"bad value_added {value_s!r}"
     if value != value:
         return "value_added is NaN"
-    sclass = _CLASS_BY_CODE.get(class_s)
-    if sclass is None:
+    if math.isinf(value):
+        return f"value_added {value_s!r} is infinite"
+    if class_s not in CLASS_BY_CODE:
         return f"unknown sector_class {class_s!r} (want M or N)"
     if workers == 0:
         exclusions.append(Exclusion(firm_id, year, R_ZERO_WORKERS))
@@ -173,96 +186,91 @@ def _parse_row(row, records, exclusions) -> str | None:
     if not 1 <= code <= _N_SECTORS:
         exclusions.append(Exclusion(firm_id, year, R_SECTOR_RANGE))
         return None
-    records.append(FirmRecord(firm_id=firm_id, year=year, sector_code=code,
-                              sector_class=sclass, value_added=value,
-                              workers_eoy=workers))
+    if abs(year) >= _INT_LIMIT or workers >= _INT_LIMIT:
+        return "year or workers_eoy out of range"
+    for col, item in zip(columns, (firm_id, year, code, class_s, value, workers)):
+        col.append(item)
     return None
 
 
-def build_samples(records, filters: FilterConfig = FilterConfig()) -> BuildResult:
+def build_samples(records: np.ndarray,
+                  filters: FilterConfig = FilterConfig()) -> BuildResult:
     """Compute c = Y / mean(L_y, L_{y-1}) per record and apply filters.
 
     Every input record becomes exactly one sample or one ledgered
-    exclusion.  With no max_productivity cap, the ten largest sample
+    exclusion; the first record of a firm-year wins over later
+    duplicates.  With no max_productivity cap, the ten largest sample
     productivities are reported for inspection instead of being cut.
     """
-    by_key: dict[tuple[str, int], FirmRecord] = {}
-    samples: list[ProductivitySample] = []
-    exclusions: list[Exclusion] = []
-    deduped: list[FirmRecord] = []
-    for rec in records:
-        key = (rec.firm_id, rec.year)
-        if key in by_key:
-            exclusions.append(Exclusion(rec.firm_id, rec.year, R_DUPLICATE))
-            continue
-        by_key[key] = rec
-        deduped.append(rec)
+    n = len(records)
+    firm = np.unique(records["firm_id"], return_inverse=True)[1]
+    year = records["year"]
+    # sorted by (firm, year), equal keys in input order: a duplicate
+    # follows its key's first record, and a prior year precedes its year
+    order = np.lexsort((year, firm))
+    f, y = firm[order], year[order]
+    dup = np.zeros(n, dtype=bool)
+    dup[order[1:][(f[1:] == f[:-1]) & (y[1:] == y[:-1])]] = True
+    kept = order[~dup[order]]
+    has_prior = ((firm[kept[1:]] == firm[kept[:-1]])
+                 & (year[kept[1:]] == year[kept[:-1]] + 1))
+    prior = np.full(n, -1)
+    prior[kept[1:][has_prior]] = kept[:-1][has_prior]
 
-    for rec in deduped:
-        prior = by_key.get((rec.firm_id, rec.year - 1))
-        if prior is None:
-            exclusions.append(Exclusion(rec.firm_id, rec.year, R_NO_PRIOR))
-            continue
-        l_bar = 0.5 * (rec.workers_eoy + prior.workers_eoy)
-        c = rec.value_added / l_bar
-        if c <= 0.0:
-            exclusions.append(Exclusion(rec.firm_id, rec.year, R_NONPOSITIVE))
-            continue
-        if l_bar < filters.min_workers:
-            exclusions.append(Exclusion(rec.firm_id, rec.year, R_MIN_WORKERS))
-            continue
-        if filters.max_productivity is not None and c > filters.max_productivity:
-            exclusions.append(Exclusion(rec.firm_id, rec.year, R_CAP))
-            continue
-        samples.append(ProductivitySample(
-            firm_id=rec.firm_id, year=rec.year, sector_code=rec.sector_code,
-            sector_class=rec.sector_class, c=c, weight_workers=l_bar))
+    # a record without a prior pairs with itself; its reason code
+    # (duplicate or no prior) takes precedence over its c
+    workers = records["workers_eoy"]
+    l_bar = 0.5 * (workers + workers[np.where(prior >= 0, prior, np.arange(n))])
+    c = records["value_added"] / l_bar
+    cap = math.inf if filters.max_productivity is None else filters.max_productivity
+    code = np.select([dup, prior < 0, c <= 0.0, l_bar < filters.min_workers,
+                      c > cap], np.arange(1, len(_BUILD_REASONS)), 0)
 
-    counts = dict(Counter(e.reason for e in exclusions))
+    out = np.flatnonzero(code)
+    exclusions = tuple(
+        Exclusion(firm_id, yr, _BUILD_REASONS[k]) for firm_id, yr, k in zip(
+            records["firm_id"][out].tolist(), year[out].tolist(),
+            code[out].tolist()))
+    keep = code == 0
+    samples = _table(firm_id=records["firm_id"][keep], year=year[keep],
+                     sector_code=records["sector_code"][keep],
+                     sector_class=records["sector_class"][keep],
+                     c=c[keep], weight_workers=l_bar[keep])
     top = ()
-    if filters.max_productivity is None and samples:
-        top = tuple(sorted((s.c for s in samples), reverse=True)[:10])
-    return BuildResult(samples=tuple(samples), exclusions=tuple(exclusions),
-                       counts=counts, top_productivities=top)
+    if filters.max_productivity is None:
+        top = tuple(np.sort(samples["c"])[::-1][:10].tolist())
+    return BuildResult(samples=samples, exclusions=exclusions,
+                       counts=dict(Counter(e.reason for e in exclusions)),
+                       top_productivities=top)
 
 
-def sector_aggregate(samples, year: int) -> list[tuple[int, float]]:
+def sector_aggregate(samples: np.ndarray, year: int) -> list[tuple[int, float]]:
     """Worker-weighted mean productivity per sector for one year.
 
     The weighting makes each sector value equal to the sector's total
     value added per averaged worker, sum(Y) / sum(L).
     """
-    num: dict[int, float] = {}
-    den: dict[int, float] = {}
-    for s in samples:
-        if s.year != year:
-            continue
-        num[s.sector_code] = num.get(s.sector_code, 0.0) + s.c * s.weight_workers
-        den[s.sector_code] = den.get(s.sector_code, 0.0) + s.weight_workers
-    if not num:
+    s = samples[samples["year"] == year]
+    if not len(s):
         raise EmptyYear(f"no samples for year {year}")
-    return [(code, num[code] / den[code]) for code in sorted(num)]
+    codes, w = s["sector_code"], s["weight_workers"]
+    num = np.bincount(codes, weights=s["c"] * w)
+    den = np.bincount(codes, weights=w)
+    return [(code, float(num[code] / den[code]))
+            for code in np.unique(codes).tolist()]
 
 
-def ranksize(values, weighted: bool = False) -> list[tuple[float, float]]:
-    """Descending (c, rank fraction) pairs ready for log-log plotting.
+def ranksize(c, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Descending c and its rank fraction, ready for log-log plotting.
 
-    Accepts ProductivitySample objects or plain numbers.  Unweighted,
-    the fraction is rank/n (firm plots); weighted, it is the cumulative
-    weight fraction (worker plots).
+    Without weights the fraction is rank/n (firm plots); with weights it
+    is the cumulative weight fraction (worker plots).  Tied values keep
+    their input order.
     """
-    items = list(values)
-    if not items:
+    c = np.asarray(c, dtype=np.float64)
+    if not c.size:
         raise ValueError("ranksize needs at least one value")
-    if isinstance(items[0], ProductivitySample):
-        pairs = [(s.c, s.weight_workers if weighted else 1.0) for s in items]
-    else:
-        pairs = [(float(v), 1.0) for v in items]
-    pairs.sort(key=lambda cw: cw[0], reverse=True)
-    total = sum(w for _, w in pairs)
-    out = []
-    cum = 0.0
-    for c, w in pairs:
-        cum += w
-        out.append((c, cum / total))
-    return out
+    order = np.argsort(-c, kind="stable")
+    cum = np.cumsum(np.ones(c.size) if weights is None
+                    else np.asarray(weights, dtype=np.float64)[order])
+    return c[order], cum / cum[-1]

@@ -89,6 +89,59 @@ def test_fit_missing_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_header_exit_one(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("firm_id,year,sector_code,sector_class,value_added\n")
+    assert main(["fit", "--input", str(path), "--year", "2000",
+                 "--class", "M", "--target", "firms"]) == 1
+    assert "missing columns: workers_eoy" in capsys.readouterr().err
+
+
+def test_too_many_bad_rows_exit_one(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "firm_id,year,sector_code,sector_class,value_added,workers_eoy\n"
+        + "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(50))
+        + "BAD,x,y,z,q,w\n")
+    assert main(["fit", "--input", str(path), "--year", "2000",
+                 "--class", "M", "--target", "firms"]) == 1
+    assert "1 malformed rows out of 51" in capsys.readouterr().err
+
+
+def test_ranksize_empty_year_exit_two(super_panel, tmp_path, capsys):
+    assert main(["ranksize", "--input", super_panel, "--year", "1890",
+                 "--class", "M", "--target", "firms",
+                 "--out-tsv", str(tmp_path / "rs.tsv")]) == 2
+    assert "no samples for year 1890" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,name", [("--min-workers", "min_workers"),
+                                       ("--max-productivity",
+                                        "max_productivity")])
+def test_nan_filter_exit_one(super_panel, tmp_path, capsys, flag, name):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", super_panel, "--year", "2000",
+                 "--class", "M", "--target", "firms", flag, "nan",
+                 "--out", str(out)]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_value_added_is_one_malformed_row(super_panel, tmp_path):
+    lines = open(super_panel, encoding="utf-8").read().splitlines()
+    row = lines[-1].split(",")
+    row[4] = "1e400"
+    lines[-1] = ",".join(row)
+    path = tmp_path / "inf.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(path), "--year", "2001",
+                 "--class", "M", "--target", "firms", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["exclusions"]["malformed_rows"] == 1
+    assert payload["n_samples_in_slice"] == 1499
+
+
 def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     out_json = tmp_path / "idx.json"
     out_tsv = tmp_path / "idx.tsv"

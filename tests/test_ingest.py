@@ -1,6 +1,10 @@
 """Panel CSV loading, sample construction with the exclusion ledger,
 sector aggregation, and rank-size points."""
 
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from prodstat import ingest
@@ -27,9 +31,10 @@ def test_load_basic(tmp_path):
     assert result.errors == ()
     assert result.exclusions == ()
     rec = result.records[0]
-    assert rec.firm_id == "A"
-    assert rec.sector_class is SectorClass.MANUFACTURING
-    assert rec.workers_eoy == 10
+    assert rec["firm_id"] == "A"
+    assert ingest.CLASS_BY_CODE[rec["sector_class"]] is SectorClass.MANUFACTURING
+    assert rec["workers_eoy"] == 10
+    assert result.records.dtype.names == ingest.SCHEMA_V1
 
 
 def test_schema_version_rejected(tmp_path):
@@ -109,6 +114,45 @@ def test_bad_class_is_malformed(tmp_path):
     assert "sector_class" in result.errors[0].message
 
 
+@pytest.mark.parametrize("token,message", [
+    ("nan", "value_added is NaN"),
+    ("inf", "value_added 'inf' is infinite"),
+    ("-inf", "value_added '-inf' is infinite"),
+    ("1e400", "value_added '1e400' is infinite"),
+])
+def test_nonfinite_value_is_malformed(tmp_path, token, message):
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    path = _write(tmp_path, good + f"X,2000,3,M,{token},5\n")
+    result = load_csv(path)
+    assert len(result.records) == 199
+    assert [(e.line_no, e.message) for e in result.errors] == [(201, message)]
+    assert np.isfinite(result.records["value_added"]).all()
+
+
+def test_nonfinite_value_counts_toward_threshold(tmp_path):
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(50))
+    path = _write(tmp_path, good + "X,2000,3,M,1e400,5\n")
+    with pytest.raises(TooManyBadRows, match="line 52: value_added '1e400'"):
+        load_csv(path)
+
+
+def test_huge_integer_is_malformed(tmp_path):
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    path = _write(tmp_path, good + f"X,{10 ** 30},3,M,10.0,5\n")
+    result = load_csv(path)
+    assert len(result.records) == 199
+    assert result.errors[0].message == "year or workers_eoy out of range"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"min_workers": math.nan}, {"min_workers": math.inf},
+    {"max_productivity": math.nan}, {"max_productivity": math.inf},
+])
+def test_filter_rejects_nonfinite(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        FilterConfig(**kwargs)
+
+
 def test_build_samples_averaging(tmp_path):
     path = _write(tmp_path,
                   "A,2000,3,M,120.0,10\n"
@@ -117,9 +161,9 @@ def test_build_samples_averaging(tmp_path):
     # year 2000 lacks a prior year; 2001 uses L = (14 + 10) / 2 = 12
     assert len(build.samples) == 1
     s = build.samples[0]
-    assert s.year == 2001
-    assert s.c == pytest.approx(150.0 / 12.0)
-    assert s.weight_workers == pytest.approx(12.0)
+    assert s["year"] == 2001
+    assert s["c"] == pytest.approx(150.0 / 12.0)
+    assert s["weight_workers"] == pytest.approx(12.0)
     assert build.counts == {"no prior-year workers": 1}
 
 
@@ -133,7 +177,7 @@ def test_build_samples_exclusion_reasons(tmp_path):
                   "C,2001,3,M,1e9,10\n")       # above cap
     build = build_samples(load_csv(path).records,
                           FilterConfig(min_workers=2.0, max_productivity=1e6))
-    assert build.samples == ()
+    assert len(build.samples) == 0
     assert build.counts["nonpositive value added"] == 1
     assert build.counts["below minimum workers"] == 1
     assert build.counts["above productivity cap"] == 1
@@ -147,7 +191,7 @@ def test_build_samples_duplicate_first_wins(tmp_path):
                   "A,2001,3,M,999.0,10\n")
     build = build_samples(load_csv(path).records)
     assert len(build.samples) == 1
-    assert build.samples[0].c == pytest.approx(11.0)
+    assert build.samples[0]["c"] == pytest.approx(11.0)
     assert build.counts["duplicate firm-year"] == 1
 
 
@@ -170,7 +214,7 @@ def test_top_productivities_reported_without_cap(tmp_path):
     path = _write(tmp_path, "".join(rows))
     build = build_samples(load_csv(path).records)
     assert len(build.top_productivities) == 10
-    assert build.top_productivities[0] == max(s.c for s in build.samples)
+    assert build.top_productivities[0] == build.samples["c"].max()
     capped = build_samples(load_csv(path).records,
                            FilterConfig(max_productivity=1e9))
     assert capped.top_productivities == ()
@@ -192,30 +236,132 @@ def test_sector_aggregate(tmp_path):
         ingest.sector_aggregate(build.samples, 1990)
 
 
+def _reference_build(records, filters):
+    """The dict-join loop the array build replaced: (samples, reasons)
+    with samples as (firm_id, year, c, weight) in record order."""
+    first = {}
+    reasons = []
+    for i, (firm, year) in enumerate(zip(records["firm_id"].tolist(),
+                                         records["year"].tolist())):
+        if (firm, year) in first:
+            reasons.append((i, ingest.R_DUPLICATE))
+        else:
+            first[(firm, year)] = i
+    samples = []
+    for (firm, year), i in first.items():
+        rec = records[i]
+        prior = first.get((firm, year - 1))
+        if prior is None:
+            reasons.append((i, ingest.R_NO_PRIOR))
+            continue
+        l_bar = 0.5 * (int(rec["workers_eoy"]) + int(records[prior]["workers_eoy"]))
+        c = float(rec["value_added"]) / l_bar
+        if c <= 0.0:
+            reasons.append((i, ingest.R_NONPOSITIVE))
+        elif l_bar < filters.min_workers:
+            reasons.append((i, ingest.R_MIN_WORKERS))
+        elif filters.max_productivity is not None and c > filters.max_productivity:
+            reasons.append((i, ingest.R_CAP))
+        else:
+            samples.append((i, (firm, year, c, l_bar)))
+    return ([row for _, row in sorted(samples)],
+            [reason for _, reason in sorted(reasons)])
+
+
+def test_mixed_panel_ledger(tmp_path):
+    path = _write(tmp_path,
+                  "A,2001,3,M,110.0,12\n"     # line 2, sample: L = 11
+                  "A,2000,3,M,100.0,10\n"     # no prior
+                  "A,2001,3,M,999.0,12\n"     # duplicate of line 2
+                  "B,2000,4,N,50.0,0\n"       # load: zero workers
+                  "B,2001,4,N,60.0,4\n"       # no prior (2000 never loaded)
+                  "C,1999,5,N,10.0,2\n"       # no prior
+                  "C,2000,5,N,-3.0,2\n"       # nonpositive
+                  "C,2001,5,N,5.0,1\n"        # L = 1.5 < 2
+                  "D,2000,27,M,1.0,3\n"       # load: sector out of range
+                  "D,2001,6,M,4.0e6,3\n"      # no prior
+                  "E,2000,6,M,10.0,3\n"       # no prior
+                  "E,2001,6,M,9.0e6,3\n"      # above cap
+                  "E,2002,6,M,30.0,3\n"       # sample: c = 10
+                  "E,2002,6,M,31.0,3\n"       # duplicate
+                  "F,2003,1,M,8.0,2\n"        # no prior
+                  "F,2001,1,M,8.0,2\n"        # no prior (2002 missing)
+                  "F,2004,1,M,12.0,4\n")      # sample: L = 3, after its prior
+    load = load_csv(path)
+    filters = FilterConfig(min_workers=2.0, max_productivity=1e6)
+    build = build_samples(load.records, filters)
+    assert [e.reason for e in load.exclusions] == [ingest.R_ZERO_WORKERS,
+                                                   ingest.R_SECTOR_RANGE]
+    assert build.counts == {"duplicate firm-year": 2,
+                            "no prior-year workers": 7,
+                            "nonpositive value added": 1,
+                            "below minimum workers": 1,
+                            "above productivity cap": 1}
+    assert len(load.records) == len(build.samples) + len(build.exclusions)
+    assert build.samples["firm_id"].tolist() == ["A", "E", "F"]
+    assert build.samples["c"].tolist() == [10.0, 10.0, 4.0]
+    assert build.samples["weight_workers"].tolist() == [11.0, 3.0, 3.0]
+    assert build.samples["sector_class"].tolist() == ["M", "M", "M"]
+    assert build.top_productivities == ()
+    ref_samples, ref_reasons = _reference_build(load.records, filters)
+    assert [e.reason for e in build.exclusions] == ref_reasons
+    assert [(s[0], s[1], s[4], s[5])
+            for s in build.samples.tolist()] == ref_samples
+
+
+def test_build_matches_reference_loop(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(3000):
+        rows.append(f"F{rng.integers(300)},{rng.integers(1995, 2002)},"
+                    f"{rng.integers(1, 27)},{'MN'[rng.integers(2)]},"
+                    f"{rng.normal(50.0, 40.0)!r},{rng.integers(1, 20)}\n")
+    load = load_csv(_write(tmp_path, "".join(rows)))
+    for filters in (FilterConfig(), FilterConfig(min_workers=4.0,
+                                                 max_productivity=8.0)):
+        build = build_samples(load.records, filters)
+        ref_samples, ref_reasons = _reference_build(load.records, filters)
+        assert [e.reason for e in build.exclusions] == ref_reasons
+        assert build.counts == dict(Counter(ref_reasons))
+        got = [(s[0], s[1], s[4], s[5]) for s in build.samples.tolist()]
+        assert got == ref_samples
+        assert len(load.records) == len(build.samples) + len(build.exclusions)
+
+
 def test_ranksize_plain():
-    points = ingest.ranksize([1.0, 2.0, 3.0])
-    assert points == [(3.0, pytest.approx(1 / 3)),
-                      (2.0, pytest.approx(2 / 3)),
-                      (1.0, pytest.approx(1.0))]
+    c, frac = ingest.ranksize([1.0, 2.0, 3.0])
+    assert list(zip(c.tolist(), frac.tolist())) == [
+        (3.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
+        (1.0, pytest.approx(1.0))]
 
 
 def test_ranksize_weighted():
-    samples = [
-        ingest.ProductivitySample("A", 2000, 1, SectorClass.MANUFACTURING,
-                                  c=5.0, weight_workers=1.0),
-        ingest.ProductivitySample("B", 2000, 1, SectorClass.MANUFACTURING,
-                                  c=2.0, weight_workers=3.0),
-    ]
-    points = ingest.ranksize(samples, weighted=True)
-    assert points == [(5.0, pytest.approx(0.25)), (2.0, pytest.approx(1.0))]
+    c, frac = ingest.ranksize(np.array([5.0, 2.0]), np.array([1.0, 3.0]))
+    assert list(zip(c.tolist(), frac.tolist())) == [
+        (5.0, pytest.approx(0.25)), (2.0, pytest.approx(1.0))]
 
 
 def test_ranksize_unweighted_samples():
-    samples = [
-        ingest.ProductivitySample("A", 2000, 1, SectorClass.MANUFACTURING,
-                                  c=5.0, weight_workers=1.0),
-        ingest.ProductivitySample("B", 2000, 1, SectorClass.MANUFACTURING,
-                                  c=2.0, weight_workers=3.0),
-    ]
-    points = ingest.ranksize(samples)
-    assert points == [(5.0, pytest.approx(0.5)), (2.0, pytest.approx(1.0))]
+    c, frac = ingest.ranksize(np.array([5.0, 2.0]))
+    assert list(zip(c.tolist(), frac.tolist())) == [
+        (5.0, pytest.approx(0.5)), (2.0, pytest.approx(1.0))]
+
+
+def test_ranksize_ties_keep_input_order():
+    weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    c, frac = ingest.ranksize(np.array([2.0, 7.0, 2.0, 7.0, 2.0]), weights)
+    assert c.tolist() == [7.0, 7.0, 2.0, 2.0, 2.0]
+    assert frac.tolist() == (np.cumsum([2.0, 4.0, 1.0, 3.0, 5.0]) / 15.0).tolist()
+
+
+def test_ranksize_weighted_fraction_ends_at_one():
+    rng = np.random.default_rng(3)
+    c, frac = ingest.ranksize(rng.pareto(1.5, 5000), rng.uniform(0.1, 50.0, 5000))
+    assert frac[-1] == 1.0
+    assert np.all(np.diff(frac) > 0.0)
+    assert np.all(np.diff(c) <= 0.0)
+
+
+def test_ranksize_empty():
+    with pytest.raises(ValueError, match="at least one"):
+        ingest.ranksize(np.array([]))
