@@ -9,7 +9,11 @@ thermo    partition-function checks for a model spec
 ranksize  empirical rank-size points, optionally with a fitted curve
 
 Every output embeds a run manifest (command, input paths, filter
-config, seed, tool version, timestamp).  Timestamps honor
+config, seed, tool version, timestamp).  JSON outputs write result
+dataclasses as they are: the ``fit`` object carries every field of
+gb2.FitResult, ``report.json`` every field of
+simulate.TailRelationReport, and the monotonicity points every field
+of thermo.MonotonicityPoint, each under its own name.  Timestamps honor
 SOURCE_DATE_EPOCH so runs can be made byte-reproducible; PRODSTAT_SEED
 supplies a default seed to scenarios that omit one.
 
@@ -20,12 +24,12 @@ Exit codes: 0 ok; 1 usage or input error; 2 insufficient data;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     command: str
     inputs: tuple[str, ...]
@@ -56,12 +60,6 @@ class RunManifest:
     seed: int | None
     tool_version: str
     timestamp: str
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "inputs": list(self.inputs),
-                "filters": self.filters, "seed": self.seed,
-                "tool_version": self.tool_version,
-                "timestamp": self.timestamp}
 
 
 def _timestamp() -> str:
@@ -79,8 +77,19 @@ def _manifest(command: str, inputs=(), filters=None, seed=None) -> RunManifest:
                        tool_version=__version__, timestamp=_timestamp())
 
 
+def _panel_manifest(command: str, args, **slice_filters) -> RunManifest:
+    """Manifest of a panel subcommand: its CSV, sample filters and slice."""
+    return _manifest(command, inputs=[args.input],
+                     filters={"min_workers": args.min_workers,
+                              "max_productivity": args.max_productivity,
+                              "class": args.klass, **slice_filters})
+
+
 def _json_safe(obj):
-    """Recursively convert to JSON-clean values (NaN -> null, numpy -> python)."""
+    """Recursively convert to JSON-clean values (dataclass -> dict of its
+    fields, NaN -> null, numpy -> python)."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,8 +116,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _write_tsv(path: str, manifest: RunManifest, header: list[str],
                rows) -> None:
-    lines = ["# manifest: " + json.dumps(_json_safe(manifest.to_dict()),
-                                         sort_keys=True)]
+    lines = ["# manifest: " + json.dumps(_json_safe(manifest), sort_keys=True)]
     lines.append("\t".join(header))
     for row in rows:
         lines.append("\t".join(_fmt_cell(v) for v in row))
@@ -122,17 +130,6 @@ def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _fit_result_dict(fr: gb2.FitResult) -> dict:
-    return {"params": {"mu": fr.params.mu, "nu": fr.params.nu,
-                       "q": fr.params.q, "c1": fr.params.c1},
-            "log_likelihood": fr.log_likelihood, "n_obs": fr.n_obs,
-            "mu_stderr": fr.mu_stderr, "converged": fr.converged,
-            "n_iterations": fr.n_iterations,
-            "n_evaluations": fr.n_evaluations,
-            "bootstrap_converged": fr.bootstrap_converged,
-            "mu_stderr_hessian": fr.mu_stderr_hessian}
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +176,10 @@ def _exclusion_summary(load, build) -> dict:
 def _cmd_fit(args) -> int:
     load, build = _load_build(args)
     samples = _slice_samples(build.samples, args.year, args.klass)
-    manifest = _manifest(
-        "fit", inputs=[args.input],
-        filters={"min_workers": args.min_workers,
-                 "max_productivity": args.max_productivity,
-                 "year": args.year, "class": args.klass,
-                 "target": args.target})
+    manifest = _panel_manifest("fit", args, year=args.year,
+                               target=args.target)
     result = gb2.fit_mle(_pairs(samples, args.target))
-    payload = {"manifest": manifest.to_dict(),
-               "fit": _fit_result_dict(result),
+    payload = {"manifest": manifest, "fit": result,
                "n_samples_in_slice": len(samples),
                "exclusions": _exclusion_summary(load, build)}
     _write_json(args.out, payload)
@@ -218,14 +210,8 @@ _INDEX_COLUMNS = ["year", "mu_f", "mu_f_stderr", "mu_w", "mu_w_stderr",
 def _cmd_index(args) -> int:
     years = _parse_years(args.years)
     load, build = _load_build(args)
-    manifest = _manifest(
-        "index", inputs=[args.input],
-        filters={"min_workers": args.min_workers,
-                 "max_productivity": args.max_productivity,
-                 "years": args.years, "class": args.klass})
+    manifest = _panel_manifest("index", args, years=args.years)
     series = []
-    rows = []
-    n_ok = 0
     for year in years:
         samples = _slice_samples(build.samples, year, args.klass)
         try:
@@ -255,15 +241,12 @@ def _cmd_index(args) -> int:
             entry["warning"] = ("negative-temperature regime: mu_f >= mu_w, "
                                 "kappa undefined")
         series.append(entry)
-        rows.append([year, indices.mu_f, indices.mu_f_stderr, indices.mu_w,
-                     indices.mu_w_stderr, point.gamma, point.delta,
-                     point.kappa, point.kappa_stderr, point.regime.value])
-        n_ok += 1
-    payload = {"manifest": manifest.to_dict(), "series": series}
-    _write_json(args.out_json, payload)
+    _write_json(args.out_json, {"manifest": manifest, "series": series})
+    rows = [[e[col] for col in _INDEX_COLUMNS]
+            for e in series if "error" not in e]
     if args.out_tsv:
         _write_tsv(args.out_tsv, manifest, _INDEX_COLUMNS, rows)
-    if n_ok == 0:
+    if not rows:
         print("index: no year produced a fit", file=sys.stderr)
         return 2
     return 0
@@ -287,7 +270,7 @@ def _cmd_simulate(args) -> int:
                ["firm_id", "c_k", "n_k"],
                ((i, float(c), int(n)) for i, (c, n) in enumerate(
                    zip(out.firm_productivities, out.worker_counts))))
-    diag = {"manifest": manifest.to_dict(),
+    diag = {"manifest": manifest,
             "total_workers": out.diagnostics.total_workers,
             "n_epochs": cfg.n_epochs,
             "epochs": [{"beta": float(b), "demand": float(d)}
@@ -311,25 +294,12 @@ def _cmd_simulate(args) -> int:
         report = simulate.verify_tail_relation(cfg, window,
                                                tolerance=tolerance, sim=out)
     except WindowError as exc:
-        _write_json(report_path, {"manifest": manifest.to_dict(),
+        _write_json(report_path, {"manifest": manifest,
                                   "window_error": str(exc),
                                   "passed": False})
         print(f"simulate: {exc}", file=sys.stderr)
         return 4
-    payload = {"manifest": manifest.to_dict(),
-               "gamma": report.gamma,
-               "mu_f_measured": report.mu_f_measured,
-               "mu_f_stderr": report.mu_f_stderr,
-               "mu_w_measured": report.mu_w_measured,
-               "mu_w_stderr": report.mu_w_stderr,
-               "mu_w_predicted": report.mu_w_predicted,
-               "tolerance": report.tolerance,
-               "window": list(report.window),
-               "window_slope": report.window_slope,
-               "firm_fit": _fit_result_dict(report.firm_fit),
-               "worker_fit": _fit_result_dict(report.worker_fit),
-               "passed": report.passed}
-    _write_json(report_path, payload)
+    _write_json(report_path, {"manifest": manifest, **vars(report)})
     return 0 if report.passed else 4
 
 
@@ -365,8 +335,9 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise _UsageError(f"--beta-grid wants lo:hi:n, got {spec!r}") from None
-    if not (0.0 < lo < hi and n >= 2):
-        raise _UsageError(f"--beta-grid wants 0 < lo < hi and n >= 2, got {spec!r}")
+    if not (0.0 < lo < hi < math.inf and n >= 2):
+        raise _UsageError(
+            f"--beta-grid wants finite 0 < lo < hi and n >= 2, got {spec!r}")
     return np.geomspace(lo, hi, n)
 
 
@@ -439,16 +410,10 @@ def _cmd_thermo(args) -> int:
     exp_ok = all(p["passed"] for p in expansion.get("points", ()))
 
     passed = bool(mono.all_passed and low_ok and high_ok and exp_ok)
-    payload = {"manifest": manifest.to_dict(),
+    payload = {"manifest": manifest,
                "model": {"mu_f": model.mu_f, "c0": model.c0,
                          "mean0": model.mean0, "m2": model.m2},
-               "monotonicity": {
-                   "all_passed": mono.all_passed,
-                   "points": [{"beta": p.beta, "demand": p.demand,
-                               "dd_dt_fd": p.dd_dt_fd,
-                               "dd_dt_var": p.dd_dt_var,
-                               "rel_diff": p.rel_diff, "passed": p.passed}
-                              for p in mono.points]},
+               "monotonicity": mono,
                "limits": {"demand_at_beta_lo": d_lo,
                           "demand_at_beta_hi": d_hi,
                           "low_ok": low_ok, "high_ok": high_ok},
@@ -467,12 +432,8 @@ def _cmd_ranksize(args) -> int:
     samples = _slice_samples(build.samples, args.year, args.klass)
     if not len(samples):
         raise EmptyYear(f"no samples for year {args.year} class {args.klass}")
-    manifest = _manifest(
-        "ranksize", inputs=[args.input],
-        filters={"min_workers": args.min_workers,
-                 "max_productivity": args.max_productivity,
-                 "year": args.year, "class": args.klass,
-                 "target": args.target})
+    manifest = _panel_manifest("ranksize", args, year=args.year,
+                               target=args.target)
     c_desc, frac = ingest.ranksize(
         samples["c"],
         samples["weight_workers"] if args.target == "workers" else None)
@@ -480,12 +441,12 @@ def _cmd_ranksize(args) -> int:
                zip(c_desc.tolist(), frac.tolist()))
 
     if args.fit:
-        pairs = _pairs(samples, args.target)
-        if len(pairs) < 100:
-            print(f"ranksize: {len(pairs)} samples is below the fit "
-                  "threshold; skipping the fitted curve", file=sys.stderr)
+        try:
+            result = gb2.fit_mle(_pairs(samples, args.target))
+        except InsufficientData as exc:
+            print(f"ranksize: {exc}; skipping the fitted curve",
+                  file=sys.stderr)
             return 0
-        result = gb2.fit_mle(pairs)
         cs = np.geomspace(c_desc[-1], c_desc[0], 200)
         curve = [(float(c), gb2.ccdf(result.params, float(c))) for c in cs]
         _write_tsv(args.fit_out, manifest, ["c", "ccdf"], curve)

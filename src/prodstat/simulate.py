@@ -115,7 +115,6 @@ class TailRelationReport:
     window_slope: float        # diagnostic rank-size exponent in the window
     firm_fit: gb2.FitResult
     worker_fit: gb2.FitResult
-    sim: SimOutput
 
 
 def verify_tail_relation(cfg: SimConfig, fit_window: tuple[float, float],
@@ -168,7 +167,7 @@ def verify_tail_relation(cfg: SimConfig, fit_window: tuple[float, float],
         mu_w_measured=measured, mu_w_stderr=worker_fit.mu_stderr,
         gamma=w.gamma, mu_w_predicted=predicted, tolerance=tolerance,
         passed=passed, window=(c_lo, c_hi), window_slope=slope,
-        firm_fit=firm_fit, worker_fit=worker_fit, sim=out)
+        firm_fit=firm_fit, worker_fit=worker_fit)
 
 
 def _window_ranksize_slope(c: np.ndarray, weights: np.ndarray,

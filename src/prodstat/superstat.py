@@ -28,7 +28,6 @@ from scipy.integrate import quad
 from .errors import RegimeError
 
 _FIXED_POINT_TOL = 1e-6     # |mu_f - 1| below this is the degenerate fixed point
-_BRANCH_TOL = 1e-6          # |mu_f - 2| below this uses the boundary value
 _KAPPA_CONSISTENCY = 1e-12  # kappa must equal 1/(2-delta) this tightly
 _EXP_UNDERFLOW = 745.0      # exp(-x) underflows below this x
 

@@ -414,8 +414,10 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     grid = np.asarray(beta_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("beta_grid must be a nonempty 1-d sequence")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("beta_grid must be positive and strictly increasing")
+    if (not np.all(np.isfinite(grid)) or np.any(grid <= 0.0)
+            or np.any(np.diff(grid) <= 0.0)):
+        raise ValueError(
+            "beta_grid must be finite, positive and strictly increasing")
 
     floor = 1e-10 * m.mean0 ** 2
     points = []

@@ -1,17 +1,22 @@
 """Command-line front end: exit codes, embedded manifests, output
 formats, and consistency between subcommands."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import gb2, thermo
+from prodstat import gb2, simulate, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
 pytestmark = pytest.mark.usefixtures("fixed_epoch")
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 @pytest.fixture
@@ -66,6 +71,8 @@ def test_fit_json_structure(super_panel, tmp_path):
     assert man["tool_version"]
     assert man["timestamp"].startswith("2023-11-14")   # SOURCE_DATE_EPOCH
     fit = payload["fit"]
+    assert set(fit) == _field_names(gb2.FitResult)
+    assert set(fit["params"]) == _field_names(gb2.Gb2Params)
     assert fit["converged"] is True
     assert fit["n_obs"] == payload["n_samples_in_slice"]
     assert 1.5 < fit["params"]["mu"] < 3.0
@@ -179,11 +186,18 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     assert abs(series[0]["kappa"] - point.kappa) < 1e-12
     assert abs(series[0]["kappa_stderr"] - point.kappa_stderr) < 1e-12
 
-    # TSV: manifest comment, header, one row per year
+    # TSV: manifest comment, header, one row per year holding the JSON
+    # entry's values in header order
     lines = out_tsv.read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
-    assert lines[1].split("\t")[0] == "year"
+    header = lines[1].split("\t")
+    assert header[0] == "year"
     assert len(lines) == 4
+    for line, entry in zip(lines[2:], series):
+        assert line.split("\t") == [
+            "nan" if entry[col] is None
+            else repr(entry[col]) if isinstance(entry[col], float)
+            else str(entry[col]) for col in header]
 
 
 def test_index_negative_temperature(negtemp_panel, tmp_path):
@@ -221,6 +235,7 @@ def test_simulate_outputs_and_report(tmp_path):
     code = main(["simulate", "--scenario", scenario,
                  "--out-dir", str(out_dir)])
     report = json.loads((out_dir / "report.json").read_text())
+    assert set(report) == _field_names(simulate.TailRelationReport) | {"manifest"}
     assert code == (0 if report["passed"] else 4)
     assert report["gamma"] == 0.5
     assert report["mu_w_predicted"] == pytest.approx(3.0)
@@ -287,6 +302,8 @@ def test_thermo_exponential(tmp_path):
     assert payload["passed"] is True
     assert payload["monotonicity"]["all_passed"] is True
     assert len(payload["monotonicity"]["points"]) == 25
+    for point in payload["monotonicity"]["points"]:
+        assert set(point) == _field_names(thermo.MonotonicityPoint)
     assert payload["limits"]["low_ok"] and payload["limits"]["high_ok"]
     assert payload["expansion"]["checked"] is True
 
@@ -353,7 +370,10 @@ def test_thermo_bad_model_exit_one(capsys):
     assert main(["thermo", "--model", "gb2:mu=2.5"]) == 1
     assert main(["thermo", "--model", "exponential:mean=1",
                  "--beta-grid", "banana"]) == 1
-    capsys.readouterr()
+    for grid in ("1e-3:inf:5", "1e-3:1e400:5"):
+        assert main(["thermo", "--model", "exponential:mean=1.0",
+                     "--beta-grid", grid]) == 1
+        assert "--beta-grid wants finite" in capsys.readouterr().err
 
 
 def test_ranksize_points(super_panel, tmp_path):

@@ -213,6 +213,8 @@ def test_monotonicity_exponential():
     assert report.all_passed
     assert len(report.points) == 50
     assert all(p.passed for p in report.points)
+    with pytest.raises(ValueError, match="finite"):
+        thermo.check_monotonicity(m, [1e-3, np.inf])
 
 
 def test_monotonicity_gb2():
