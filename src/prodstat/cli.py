@@ -40,7 +40,8 @@ from .superstat import ParetoIndices, Regime, kappa_from_mus
 
 _ENV_SEED = "PRODSTAT_SEED"
 _ORDER_TOL = 0.5       # allowed |observed / predicted - 1| expansion error order
-_ORDER_FLOOR = 1e-9    # D/mean0 and Z noise bound: 1000x the quadrature target
+# D/mean0 and Z noise bound: 1000x the quadrature target, 1e-9
+_ORDER_FLOOR = 1e3 * thermo.QUAD_EPSREL
 
 
 class _UsageError(Exception):

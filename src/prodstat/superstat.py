@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc
 
 from .errors import RegimeError
 
 _FIXED_POINT_TOL = 1e-6     # |mu_f - 1| below this is the degenerate fixed point
 _KAPPA_CONSISTENCY = 1e-12  # kappa must equal 1/(2-delta) this tightly
-_EXP_UNDERFLOW = 745.0      # exp(-x) underflows below this x
 
 
 class SectorClass(str, Enum):
@@ -139,6 +138,10 @@ def delta_from_gamma(gamma: float, mu_f: float) -> float:
         raise ValueError(f"gamma must be < 1, got {gamma!r}")
     if not mu_f > 1.0:
         raise ValueError(f"mu_f must be > 1, got {mu_f!r}")
+    return _delta(gamma, mu_f)
+
+
+def _delta(gamma: float, mu_f: float) -> float:
     if mu_f >= 2.0:
         return gamma
     return 1.0 + (gamma - 1.0) / (mu_f - 1.0)
@@ -172,12 +175,7 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
     if p.mu_w <= p.mu_f:
         # gamma >= 1: flag only; delta by the same branch arithmetic,
         # meaningless as a density exponent but reported for inspection
-        if near_fixed_point:
-            delta = math.nan
-        elif p.mu_f >= 2.0:
-            delta = gamma
-        else:
-            delta = 1.0 + (gamma - 1.0) / (p.mu_f - 1.0)
+        delta = math.nan if near_fixed_point else _delta(gamma, p.mu_f)
         return DemandIndexPoint(gamma=gamma, delta=delta, kappa=None,
                                 kappa_stderr=None,
                                 regime=Regime.NEGATIVE_TEMPERATURE,
@@ -208,10 +206,13 @@ def b_factor(w: BetaWeight, c: float) -> float:
     """Averaged Boltzmann factor B(c) = int e^{-beta c} f(beta) dbeta,
     normalized so B(0+) = 1.
 
-    Adaptive quadrature over decade segments of [beta_min, beta_max];
-    the segment list puts breakpoints at powers of ten so the integrand
-    is mild on each piece, and the range where e^{-beta c} underflows
-    is dropped (its contribution is below 1e-300).
+    In closed form, with s = beta c and a = 1 - gamma > 0,
+
+        B(c) = c^-a Gamma(a) [P(a, beta_max c) - P(a, beta_min c)] / normalizer
+
+    where P is the regularized lower incomplete gamma function.  Where
+    beta_min c > a both P values are close to 1, and the difference of
+    the upper functions Q = 1 - P keeps the digits.
     """
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"b_factor requires finite c >= 0, got {c!r}")
@@ -219,25 +220,11 @@ def b_factor(w: BetaWeight, c: float) -> float:
         return 1.0
     if w.degenerate:
         return math.exp(-w.beta_min * c)
-    cut = min(w.beta_max, _EXP_UNDERFLOW / c)
-    if cut <= w.beta_min:
-        return 0.0
-    pts = _decade_points(w.beta_min, cut)
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, _ = quad(lambda b: b ** (-w.gamma) * math.exp(-b * c),
-                      lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
-        total += val
-    return total / w.normalizer()
-
-
-def _decade_points(lo: float, hi: float) -> list[float]:
-    """lo, then powers of ten strictly inside (lo, hi), then hi."""
-    pts = [lo]
-    k = math.floor(math.log10(lo)) + 1
-    while 10.0 ** k < hi:
-        if 10.0 ** k > lo:
-            pts.append(10.0 ** k)
-        k += 1
-    pts.append(hi)
-    return pts
+    a = 1.0 - w.gamma
+    x_lo, x_hi = w.beta_min * c, w.beta_max * c
+    if x_lo > a:
+        mass = gammaincc(a, x_lo) - gammaincc(a, x_hi)
+    else:
+        mass = gammainc(a, x_hi) - gammainc(a, x_lo)
+    scale = math.exp(math.lgamma(a) - a * math.log(c))
+    return scale * float(mass) / w.normalizer()

@@ -26,6 +26,16 @@ B_FACTOR_REF = [
     ((-1.0, 0.01, 10.0, 1.0), 0.019989038646224094),
     ((-1.0, 0.01, 10.0, 50.0), 7.278375194926796e-6),
     ((-1.0, 0.01, 10.0, 1000.0), 9.9879945357412012e-12),
+    # either side of beta_min c = 1 - gamma, where b_factor switches from
+    # the lower to the upper incomplete gamma function, and gamma < 0
+    ((0.5, 0.1, 10.0, 4.0), 0.057777085462173073),
+    ((0.5, 0.1, 10.0, 6.0), 0.034745685540632223),
+    ((0.5, 0.1, 10.0, 100.0), 2.4114591707714766e-7),
+    ((-2.5, 0.5, 3.0, 6.0), 0.00025421337130421583),
+    ((-2.5, 0.5, 3.0, 8.0), 5.7232241224780525e-5),
+    ((-2.5, 0.5, 3.0, 20.0), 3.8794215139673612e-8),
+    ((-0.5, 0.001, 1.0, 100.0), 0.001299590033211535),
+    ((0.9, 1e-05, 1000.0, 1000000.0), 7.8961679259609017e-8),
 ]
 
 
@@ -173,7 +183,8 @@ def test_beta_weight_validation():
 def test_b_factor_reference(args, expected):
     gamma, bmin, bmax, c = args
     w = BetaWeight(gamma=gamma, beta_min=bmin, beta_max=bmax)
-    assert b_factor(w, c) == pytest.approx(expected, rel=1e-8)
+    # 1e-12: the wrong incomplete-gamma branch loses about 1e-11
+    assert b_factor(w, c) == pytest.approx(expected, rel=1e-12)
 
 
 def test_b_factor_degenerate_is_pure_exponential():

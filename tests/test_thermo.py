@@ -37,6 +37,19 @@ TAIL_REF = [
     ((2.5, 0.3, 1.0), 0.63045949542019653, 0.4376122735211089),
 ]
 
+# (mu, nu, q, c1, beta) -> <c^3>_beta for a GB2 with mu_f > 3
+MOMENT3_GB2_REF = [
+    ((3.5, 1.5, 0.9, 1.2, 0.01), 8.5673094227837652),
+    ((3.5, 1.5, 0.9, 1.2, 0.5), 0.81590890748263308),
+    ((3.5, 1.5, 0.9, 1.2, 5.0), 0.021371760909310108),
+]
+
+# (mu, c0, beta) -> <c^3>_beta for the pure Pareto tail
+MOMENT3_TAIL_REF = [
+    ((3.5, 0.5, 0.01), 0.77510963759457187),
+    ((3.5, 0.5, 1.0), 0.35708916226947568),
+]
+
 
 def _gb2_model(mu, nu, q, c1):
     return ThermoModel.from_gb2(gb2.Gb2Params(mu, nu, q, c1))
@@ -91,6 +104,41 @@ def test_moment_divergence_at_zero_beta():
     m2 = _gb2_model(1.5, 1.0, 1.0, 1.0)
     with pytest.raises(DivergentMoment):
         thermo.moment(m2, 2, 0.0)
+
+
+def test_moments_at_zero_beta_match_closed_forms():
+    # beta = 0 folds the power tail with y = v^(mu_f - n) for n > 0 too
+    for m in (_gb2_model(2.5, 0.8, 1.2, 2.0),
+              ThermoModel.tabulated_tail(2.5, 0.3)):
+        assert thermo.moment(m, 1, 0.0) == pytest.approx(m.mean0, rel=1e-10)
+        assert thermo.moment(m, 2, 0.0) == pytest.approx(m.m2, rel=1e-10)
+    m = _gb2_model(3.5, 1.5, 0.9, 1.2)
+    assert thermo.moment(m, 3, 0.0) == pytest.approx(
+        gb2.moment(m.firm_pdf, 3), rel=1e-10)
+
+
+@pytest.mark.parametrize("args,ref", MOMENT3_GB2_REF)
+def test_gb2_third_moment_reference(args, ref):
+    mu, nu, q, c1, beta = args
+    assert thermo.moment(_gb2_model(mu, nu, q, c1), 3, beta) == pytest.approx(
+        ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("args,ref", MOMENT3_TAIL_REF)
+def test_tail_third_moment_reference(args, ref):
+    mu, c0, beta = args
+    assert thermo.moment(ThermoModel.tabulated_tail(mu, c0), 3, beta) \
+        == pytest.approx(ref, rel=1e-9)
+
+
+def test_quad_sums_segments_and_refines_endpoint_behavior():
+    # two integrands at once: sqrt(x) needs bisection toward x = 0
+    def f(x):
+        return np.stack([np.sqrt(x), np.exp(-x)])
+
+    got = thermo.quad(f, [0.0, 1.0], [1.0, 3.0])
+    assert got[0] == pytest.approx(2.0 * 3.0 ** 1.5 / 3.0, rel=1e-12)
+    assert got[1] == pytest.approx(1.0 - math.exp(-3.0), rel=1e-12)
 
 
 def test_moment_matches_demand():
@@ -215,6 +263,15 @@ def test_monotonicity_exponential():
     assert all(p.passed for p in report.points)
     with pytest.raises(ValueError, match="finite"):
         thermo.check_monotonicity(m, [1e-3, np.inf])
+
+
+def test_monotonicity_exponential_variance_closed_form():
+    # beta^2 Var_beta(c) = (beta / (1 + beta))^2 for the unit exponential
+    m = ThermoModel.exponential(1.0)
+    report = thermo.check_monotonicity(m, np.geomspace(1e-8, 1e3, 40))
+    for p in report.points:
+        assert p.dd_dt_var == pytest.approx((p.beta / (1.0 + p.beta)) ** 2,
+                                            rel=1e-9)
 
 
 def test_monotonicity_gb2():
