@@ -206,6 +206,9 @@ def _parse_years(spec: str) -> range:
 
 _INDEX_COLUMNS = ["year", "mu_f", "mu_f_stderr", "mu_w", "mu_w_stderr",
                   "gamma", "delta", "kappa", "kappa_stderr", "regime"]
+# gb2.FitResult fields an index entry carries as firm_<f> and worker_<f>
+_INDEX_FIT_FIELDS = ("converged", "n_evaluations", "bootstrap_converged",
+                     "mu_stderr_hessian")
 
 
 def _cmd_index(args) -> int:
@@ -231,13 +234,10 @@ def _cmd_index(args) -> int:
                  "mu_w": indices.mu_w, "mu_w_stderr": indices.mu_w_stderr,
                  "gamma": point.gamma, "delta": point.delta,
                  "kappa": point.kappa, "kappa_stderr": point.kappa_stderr,
-                 "regime": point.regime.value,
-                 "firm_converged": firm_fit.converged,
-                 "worker_converged": worker_fit.converged}
+                 "regime": point.regime.value}
         for side, fr in (("firm", firm_fit), ("worker", worker_fit)):
-            entry[f"{side}_n_evaluations"] = fr.n_evaluations
-            entry[f"{side}_bootstrap_converged"] = fr.bootstrap_converged
-            entry[f"{side}_mu_stderr_hessian"] = fr.mu_stderr_hessian
+            entry.update((f"{side}_{name}", getattr(fr, name))
+                         for name in _INDEX_FIT_FIELDS)
         if point.regime is Regime.NEGATIVE_TEMPERATURE:
             entry["warning"] = ("negative-temperature regime: mu_f >= mu_w, "
                                 "kappa undefined")

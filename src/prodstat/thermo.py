@@ -7,21 +7,18 @@ c0 (upper-tail cdf ~ (c/c0)^-mu_f), this module computes
     D(beta)      = -d ln Z / d beta = <c>_beta      (demand)
     <c^n>_beta   = int c^n e^{-beta c} p(c) dc / Z  (moment)
 
-by Gauss-Legendre quadrature, plus the three-branch small-beta
-expansions of Z and D and a monotonicity check of the demand-temperature
-relation dD/dT = beta^2 Var_beta(c) >= 0, T = 1/beta.
+by quadrature (closed forms at beta = 0), plus the three-branch
+small-beta expansions of Z and D and a monotonicity check of the
+demand-temperature relation dD/dT = beta^2 Var_beta(c) >= 0, T = 1/beta.
 
-Quadrature strategy: c^n e^{-beta c} p(c) for every order n a caller
-needs (Z, <c> and <c^2> together) comes from one vectorised pass over
-one node array.  The axis is split at powers of ten around the model
-scale.  The lower end is brought onto a power substitution that removes
-the c^(nu-1) edge behavior, the far tail is folded to a finite interval
-by c -> C/v (with an extra power substitution at beta = 0, where no
-exponential factor tames the Pareto tail).  Every segment is smooth; a
-20- and a 40-node rule on each bound its error, and only the segments
-that miss the shared relative target are bisected, all in one batch.
-The scheme reproduces 40-digit reference values of the GB2 Laplace
-transform to full double precision for beta from 0 to 1e4.
+Quadrature strategy: in x = ln(c - floor), with floor the lower end of
+the support, c^n e^{-beta c} p(c) is smooth and decays at both ends, so
+the trapezoid rule converges geometrically in the step (Trefethen and
+Weideman, SIAM Review 56 (2014) 385).  One rule serves every order n a
+caller needs (Z, <c> and <c^2> together) on one node array; the step is
+halved until two sums agree to the relative target.  The range comes
+from the two edge decay rates: u^(n+a) below the model scale, where
+p ~ u^(a-1), and the e^{-beta u} cutoff above.
 
 Supported models: GB2, exponential (tail index +inf), and a pure
 power-law tail on [c0, inf) for tail-only work.
@@ -39,16 +36,12 @@ from .errors import DivergentMoment, OutOfRegime
 from .specfun import gamma_neg, log_beta
 
 QUAD_EPSREL = 1e-12        # relative error target of every Laplace integral
-_MAX_ROUNDS = 60           # bisection rounds before quad stops refining
+_MAX_NODES = 1 << 21       # quad raises rather than evaluate more nodes
+_TAIL_EFOLDS = 45.0        # integrand e-folds kept beyond each end of the range
 _EXPANSION_GUARD = 0.1     # expansions refuse c0 * beta at or above this
 _BRANCH_TOL = 1e-6         # |mu_f - 2| below this selects the log branch
 _FD_STEP = 1e-4            # relative step of the demand finite difference
 _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
-
-# 20- and 40-node Gauss-Legendre rules on [-1, 1]
-_GL_COARSE_X, _GL_COARSE_W = np.polynomial.legendre.leggauss(20)
-_GL_FINE_X, _GL_FINE_W = np.polynomial.legendre.leggauss(40)
-_GL_NODES = np.concatenate([_GL_COARSE_X, _GL_FINE_X])
 
 
 @dataclass(frozen=True)
@@ -95,81 +88,73 @@ class ThermoModel:
     m2: float | None
 
     @classmethod
+    def _of(cls, pdf, mu_f: float, c0: float) -> "ThermoModel":
+        return cls(firm_pdf=pdf, mu_f=mu_f, c0=c0, mean0=_moment0(pdf, 1),
+                   m2=_moment0(pdf, 2) if mu_f > 2.0 else None)
+
+    @classmethod
     def from_gb2(cls, params: gb2.Gb2Params) -> "ThermoModel":
         if params.mu <= 1.0:
             raise ValueError("mean diverges for mu <= 1; no thermodynamics")
-        m2 = gb2.moment(params, 2) if params.mu > 2.0 else None
-        return cls(firm_pdf=params, mu_f=params.mu,
-                   c0=gb2.tail_scale(params),
-                   mean0=gb2.moment(params, 1), m2=m2)
+        return cls._of(params, params.mu, gb2.tail_scale(params))
 
     @classmethod
     def exponential(cls, mean: float) -> "ThermoModel":
-        pdf = ExponentialPdf(mean)
-        return cls(firm_pdf=pdf, mu_f=math.inf, c0=mean,
-                   mean0=mean, m2=2.0 * mean * mean)
+        return cls._of(ExponentialPdf(mean), math.inf, mean)
 
     @classmethod
     def tabulated_tail(cls, mu_f: float, c0: float) -> "ThermoModel":
-        pdf = TabulatedTailPdf(mu_f, c0)
-        m2 = mu_f * c0 * c0 / (mu_f - 2.0) if mu_f > 2.0 else None
-        return cls(firm_pdf=pdf, mu_f=mu_f, c0=c0,
-                   mean0=mu_f * c0 / (mu_f - 1.0), m2=m2)
+        return cls._of(TabulatedTailPdf(mu_f, c0), mu_f, c0)
+
+
+def _moment0(pdf, n: int) -> float:
+    """<c^n>_0 in closed form, for 0 <= n < mu_f."""
+    if isinstance(pdf, gb2.Gb2Params):
+        return gb2.moment(pdf, n)
+    if isinstance(pdf, ExponentialPdf):
+        return math.factorial(n) * pdf.mean ** n
+    return pdf.mu * pdf.c0 ** n / (pdf.mu - n)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-def quad(f, a, b) -> np.ndarray:
-    """Sum over the segments [a_i, b_i] of int f(x) dx for each of the
-    integrands f returns at once.
+def quad(f, a: float, b: float) -> np.ndarray:
+    """Trapezoid-rule integrals over the real line of the integrands f
+    returns at once, each negligible outside [a, b].
 
-    f maps a node array of shape (segments, nodes) to values of shape
-    (integrands, segments, nodes).  Every segment gets a 20- and a
-    40-node Gauss-Legendre rule and keeps the 40-node value; the
-    difference of the two bounds its error.  While some integrand's
-    summed error exceeds QUAD_EPSREL of its total, each segment whose
-    error exceeds an equal share of that budget is bisected, and all new
-    halves go through f in one call.
+    f maps a 1-d node array to values of shape (integrands, nodes).  The
+    nodes are the multiples of the step that cover [a, b], so each is
+    exact.  The step starts at 1/2 and is halved, each level evaluating
+    only the new midpoints, until two successive sums agree to
+    QUAD_EPSREL relative for every integrand.  A non-finite sum is
+    returned as it is; a level that would bring the node count past
+    _MAX_NODES raises ValueError.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    vals, errs = _gauss_pair(f, a, b)
-    for _ in range(_MAX_ROUNDS):
-        tol = QUAD_EPSREL * np.abs(vals.sum(axis=1))
-        if np.all(errs.sum(axis=1) <= tol):
-            break
-        split = np.any(errs > tol[:, None] / len(a), axis=0)
-        if not split.any():            # NaN values: nothing to refine
-            break
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_vals, new_errs = _gauss_pair(f, new_a, new_b)
-        keep = ~split
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
-        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
-    return vals.sum(axis=1)
-
-
-def _gauss_pair(f, a: np.ndarray, b: np.ndarray):
-    """Per-segment 40-node values and their distance to the 20-node ones."""
-    half = 0.5 * (b - a)
-    y = f((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)
-    n = len(_GL_COARSE_X)
-    coarse = y[..., :n] @ _GL_COARSE_W * half
-    fine = y[..., n:] @ _GL_FINE_W * half
-    return fine, np.abs(fine - coarse)
+    if not 2.0 * (b - a) + 3.0 <= _MAX_NODES:
+        raise ValueError(f"quad range [{a}, {b}] needs more than "
+                         f"{_MAX_NODES} nodes")
+    h, k0, k1 = 0.5, math.floor(2.0 * a), math.ceil(2.0 * b)
+    total = h * f(h * np.arange(k0, k1 + 1)).sum(axis=1)
+    while np.all(np.isfinite(total)):
+        h, k0, k1 = 0.5 * h, 2 * k0, 2 * k1
+        if k1 - k0 + 1 > _MAX_NODES:
+            raise ValueError(
+                f"quad did not converge within {_MAX_NODES} nodes")
+        new = 0.5 * total + h * f(h * np.arange(k0 + 1, k1, 2)).sum(axis=1)
+        if np.all(np.abs(new - total) <= QUAD_EPSREL * np.abs(new)):
+            return new
+        total = new
+    return total
 
 
 def _density(m: ThermoModel):
     """The model's terms for quadrature: ln p(c) as a function of node
-    arrays (c, ln c), the support floor, the scale that anchors the
-    decade split, and the exponent a with p(c) ~ c^(a-1) at the lower
-    edge (None when the support starts above zero)."""
+    arrays (c, ln c), the support floor lo, the scale s below which
+    p(lo + u) ~ u^(a - 1) holds to within a factor e, the exponent a,
+    and the rate of the model's own e^{-u/mean} factor (0 for the power
+    tails)."""
     p = m.firm_pdf
     if isinstance(p, gb2.Gb2Params):
         ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
@@ -180,76 +165,45 @@ def _density(m: ThermoModel):
             return (ln_norm - lc + p.nu * t
                     - (p.mu + p.nu) / p.q * kernels.softplus(p.q * t))
 
-        return ln_p, 0.0, p.c1, p.nu
+        s = p.c1 * min(1.0, p.q / (p.mu + p.nu)) ** (1.0 / p.q)
+        return ln_p, 0.0, s, p.nu, 0.0
     if isinstance(p, ExponentialPdf):
         ln_lam = -math.log(p.mean)
-        return (lambda c, lc: ln_lam - c / p.mean), 0.0, p.mean, 1.0
+        return ((lambda c, lc: ln_lam - c / p.mean), 0.0, math.inf, 1.0,
+                1.0 / p.mean)
     ln_a = math.log(p.mu) + p.mu * math.log(p.c0)
-    return (lambda c, lc: ln_a - (p.mu + 1.0) * lc), p.c0, p.c0, None
+    return ((lambda c, lc: ln_a - (p.mu + 1.0) * lc), p.c0,
+            p.c0 / (p.mu + 1.0), 1.0, 0.0)
 
 
 def _laplace(m: ThermoModel, beta: float, orders) -> tuple[list, float]:
-    """(values, lo): int u^n e^{-beta u} p(c) dc for each n in orders,
-    from one quad call, where lo is the support floor and u = c - lo.
+    """(values, lo): int u^n e^{-beta u} p(c) dc for each n in orders and
+    beta > 0, from one quad call, where lo is the support floor and
+    u = c - lo.
 
-    Powers of u rather than of c keep the variance of the floor-supported
-    tail model free of cancellation, and e^{-beta u} leaves the caller a
-    factor e^{-beta lo} that cancels in ratios and lets demand stay
-    computable where the absolute Z underflows.
+    In x = ln u each integrand is smooth and decays like e^{(n + a) x}
+    below min(s, 1/r), r = beta + the model's own rate, and above like a
+    gamma density in r u of shape at most n + a.  The range keeps
+    _TAIL_EFOLDS e-folds of the first and ends at
+    r u = _TAIL_EFOLDS + 4 (n + a + 1).  Powers of u rather than of c
+    keep the variance of the floor-supported tail model free of
+    cancellation, and e^{-beta u} leaves the caller a factor e^{-beta lo}
+    that cancels in ratios and lets demand stay computable where the
+    absolute Z underflows.
     """
-    ln_p, lo, s, a = _density(m)
-    hi = s * 1e12
-    if beta > 0.0:
-        hi = min(hi, max(50.0 / beta, 10.0 * s))
+    ln_p, lo, s, a, rate = _density(m)
+    r = beta + rate
+    x_lo = math.log(min(s, 1.0 / r)) - _TAIL_EFOLDS / (min(orders) + a)
+    x_hi = math.log((_TAIL_EFOLDS + 4.0 * (max(orders) + a + 1.0)) / r)
+    n = np.asarray(orders, dtype=np.float64)[:, None]
 
-    pts = [s * 1e-6 if a is not None else lo]
-    if a is None and beta > 0.0:
-        # resolve the e^{-beta (c - c0)} boundary layer before the first
-        # decade split
-        edge = 10.0 ** (math.floor(math.log10(lo)) + 1)
-        j = 0
-        while lo + 10.0 ** j / beta < min(edge, hi):
-            pts.append(lo + 10.0 ** j / beta)
-            j += 1
-    k = math.floor(math.log10(pts[0])) + 1
-    while 10.0 ** k < hi:
-        if 10.0 ** k > pts[-1]:
-            pts.append(10.0 ** k)
-        k += 1
-    pts.append(hi)
-
-    # Each piece is u = e^{ln_scale} x^power on x in [x0, x1]: the head
-    # u = x^(1/a) flattens the c^(a-1) edge, the decades are plain, and
-    # the tail folds to (0, 1] by u = (hi - lo) / v.  At beta = 0 no
-    # exponential tames a power tail, and u = (hi - lo) y^(-1/(mu_f - n))
-    # leaves the top order's integrand flat at y = 0.
-    pieces = [(x0 - lo, x1 - lo, 0.0, 1.0)
-              for x0, x1 in zip(pts[:-1], pts[1:])]
-    if a is not None:
-        pieces.insert(0, (0.0, pts[0] ** a, 0.0, 1.0 / a))
-    fold = 1.0
-    if beta == 0.0 and math.isfinite(m.mu_f):
-        fold = m.mu_f - max(orders)
-    pieces.append((0.0, 1.0, math.log(hi - lo), -1.0 / fold))
-    x0, x1, ln_scale, power = (np.array(col) for col in zip(*pieces))
-    width = x1 - x0
-    ln_jac = np.log(np.abs(power) * width)
-    n = np.asarray(orders, dtype=np.float64)[:, None, None]
-
-    # piece i spans [i, i + 1] of the quadrature axis t
-    def f(t):
-        i = np.minimum(t.astype(np.intp), len(pieces) - 1)
-        lx = np.log(x0[i] + (t - i) * width[i])
-        lu = ln_scale[i] + power[i] * lx
-        u = np.exp(lu)
+    def f(x):
+        u = np.exp(x)
         c = lo + u
-        expo = ln_p(c, np.log(c)) + ln_jac[i] + lu - lx
-        if beta > 0.0:
-            expo -= beta * u
-        return np.exp(n * lu + expo)
+        expo = x + ln_p(c, np.log(c) if lo else x) - beta * u
+        return np.exp(n * x + expo)
 
-    edges = np.arange(len(pieces) + 1, dtype=np.float64)
-    return quad(f, edges[:-1], edges[1:]).tolist(), lo
+    return quad(f, x_lo, x_hi).tolist(), lo
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +214,8 @@ def partition(m: ThermoModel, beta: float) -> float:
     """Z(beta), with Z(0) = 1."""
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"partition requires finite beta >= 0, got {beta!r}")
+    if beta == 0.0:
+        return 1.0
     (z,), lo = _laplace(m, beta, (0,))
     return z * math.exp(-beta * lo)
 
@@ -275,14 +231,17 @@ def demand(m: ThermoModel, beta: float) -> float:
 
 
 def moment(m: ThermoModel, n: int, beta: float) -> float:
-    """<c^n>_beta.  Diverges (raises) when beta = 0 and n >= mu_f."""
+    """<c^n>_beta, in closed form at beta = 0, where it diverges (raises)
+    for n >= mu_f."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"moment requires finite beta >= 0, got {beta!r}")
-    if beta == 0.0 and n >= m.mu_f:
-        raise DivergentMoment(
-            f"<c^{n}> at beta = 0 diverges for mu_f = {m.mu_f}")
+    if beta == 0.0:
+        if n >= m.mu_f:
+            raise DivergentMoment(
+                f"<c^{n}> at beta = 0 diverges for mu_f = {m.mu_f}")
+        return _moment0(m.firm_pdf, n)
     vals, lo = _laplace(m, beta, range(n + 1))
     # <c^n> from the moments of u = c - lo, all terms nonnegative
     return sum(math.comb(n, k) * lo ** (n - k) * v

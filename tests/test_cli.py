@@ -19,6 +19,16 @@ def _field_names(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+# keys of an index year entry that has fits; the per-side fields are
+# gb2.FitResult fields
+INDEX_FIT_FIELDS = {"converged", "n_evaluations", "bootstrap_converged",
+                    "mu_stderr_hessian"}
+INDEX_ENTRY_KEYS = ({"year", "mu_f", "mu_f_stderr", "mu_w", "mu_w_stderr",
+                     "gamma", "delta", "kappa", "kappa_stderr", "regime"}
+                    | {f"{side}_{name}" for side in ("firm", "worker")
+                       for name in INDEX_FIT_FIELDS})
+
+
 @pytest.fixture
 def fixed_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -158,7 +168,9 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     assert code == 0
     series = json.loads(out_json.read_text())["series"]
     assert [row["year"] for row in series] == [2000, 2001]
+    assert INDEX_FIT_FIELDS <= _field_names(gb2.FitResult)
     for row in series:
+        assert set(row) == INDEX_ENTRY_KEYS
         assert row["regime"] == "Superstatistical"
         assert 0.0 < row["kappa"] < 1.0
         # on this 1500-firm q=1 panel some worker-weighted replicates
@@ -206,6 +218,7 @@ def test_index_negative_temperature(negtemp_panel, tmp_path):
                  "--class", "M", "--out-json", str(out_json)])
     assert code == 0
     row = json.loads(out_json.read_text())["series"][0]
+    assert set(row) == INDEX_ENTRY_KEYS | {"warning"}
     assert row["regime"] == "NegativeTemperature"
     assert row["kappa"] is None
     assert "negative-temperature" in row["warning"]
@@ -226,7 +239,7 @@ def test_index_missing_years_recorded(super_panel, tmp_path):
     assert code == 0
     series = json.loads(out_json.read_text())["series"]
     assert len(series) == 4
-    assert "error" in series[2] and "error" in series[3]
+    assert set(series[2]) == set(series[3]) == {"year", "error"}
 
 
 def test_simulate_outputs_and_report(tmp_path):
@@ -315,6 +328,17 @@ def test_thermo_gb2_and_tail(tmp_path):
     assert main(["thermo", "--model", "tail:mu=1.5,c0=1.0",
                  "--beta-grid", "1e-6:10:12",
                  "--out", str(tmp_path / "b.json")]) == 0
+
+
+def test_thermo_small_nu_gb2(tmp_path):
+    # the README gb2 invocation with a head c^(nu - 1) steep enough that
+    # it spans thousands of e-folds of c
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", "gb2:mu=2.5,nu=0.01,q=1.0,c1=1.0",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    assert all(p["demand"] > 0.0 for p in payload["monotonicity"]["points"])
 
 
 # one model per branch of thermo.demand_expansion: mu_f > 2 (the README

@@ -50,6 +50,27 @@ MOMENT3_TAIL_REF = [
     ((3.5, 0.5, 1.0), 0.35708916226947568),
 ]
 
+# (nu, beta) -> Z, D for a GB2 with mu = 2.5, q = 1, c1 = 1 and small nu:
+# Z = Gamma(mu + nu) / Gamma(mu) U(nu, 1 - mu, beta c1) and
+# Z <c> = c1 Gamma(nu + 1) U(nu + 1, 2 - mu, beta c1) / B(nu, mu)
+SMALL_NU_REF = [
+    ((0.01, 1e-3), 0.99999333977270909, 0.006653974910090114),
+    ((0.01, 1.0), 0.99545559483910941, 0.0034341415384652321),
+    ((0.01, 20.0), 0.97622738770485466, 0.00044631987312564623),
+    ((0.003, 1e-3), 0.99999800191859109, 0.0019962092339465252),
+    ((0.003, 1.0), 0.99863363147011152, 0.0010311141447165205),
+    ((0.003, 20.0), 0.99280382625379454, 0.00013393206644053567),
+]
+
+# (mu_f, n) -> <c^n>_0 for tail c0 = 0.3 and GB2 nu = 0.8, q = 1.2,
+# c1 = 2, at mu_f - n = 0.5, 0.01 and 0.001 (mu_f taken as its double)
+MOMENT0_REF = [
+    ((2.5, 2), 0.44999999999999997, 7.2078848745243309),
+    ((2.01, 2), 18.090000000000382, 464.5851864689873),
+    ((2.001, 2), 180.09000000001981, 4672.2404503394454),
+    ((1.001, 1), 300.30000000003303, 1391.877668237423),
+]
+
 
 def _gb2_model(mu, nu, q, c1):
     return ThermoModel.from_gb2(gb2.Gb2Params(mu, nu, q, c1))
@@ -107,7 +128,7 @@ def test_moment_divergence_at_zero_beta():
 
 
 def test_moments_at_zero_beta_match_closed_forms():
-    # beta = 0 folds the power tail with y = v^(mu_f - n) for n > 0 too
+    # beta = 0 moments are the closed forms the constructors cache
     for m in (_gb2_model(2.5, 0.8, 1.2, 2.0),
               ThermoModel.tabulated_tail(2.5, 0.3)):
         assert thermo.moment(m, 1, 0.0) == pytest.approx(m.mean0, rel=1e-10)
@@ -115,6 +136,24 @@ def test_moments_at_zero_beta_match_closed_forms():
     m = _gb2_model(3.5, 1.5, 0.9, 1.2)
     assert thermo.moment(m, 3, 0.0) == pytest.approx(
         gb2.moment(m.firm_pdf, 3), rel=1e-10)
+
+
+@pytest.mark.parametrize("args,z_ref,d_ref", SMALL_NU_REF)
+def test_gb2_small_nu_partition_demand_reference(args, z_ref, d_ref):
+    # the head of the integrand spans ~45/nu e-folds of c below c1
+    nu, beta = args
+    m = _gb2_model(2.5, nu, 1.0, 1.0)
+    assert thermo.partition(m, beta) == pytest.approx(z_ref, rel=1e-12)
+    assert thermo.demand(m, beta) == pytest.approx(d_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("args,tail_ref,gb2_ref", MOMENT0_REF)
+def test_moments_at_zero_beta_next_to_integer_mu(args, tail_ref, gb2_ref):
+    mu, n = args
+    assert thermo.moment(ThermoModel.tabulated_tail(mu, 0.3), n, 0.0) \
+        == pytest.approx(tail_ref, rel=1e-12)
+    assert thermo.moment(_gb2_model(mu, 0.8, 1.2, 2.0), n, 0.0) \
+        == pytest.approx(gb2_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("args,ref", MOMENT3_GB2_REF)
@@ -131,14 +170,33 @@ def test_tail_third_moment_reference(args, ref):
         == pytest.approx(ref, rel=1e-9)
 
 
-def test_quad_sums_segments_and_refines_endpoint_behavior():
-    # two integrands at once: sqrt(x) needs bisection toward x = 0
-    def f(x):
-        return np.stack([np.sqrt(x), np.exp(-x)])
+def test_quad_trapezoid_two_integrands_nan_and_node_cap():
+    # two integrands at once, each negligible outside the range:
+    # int e^{x - e^x} dx = 1 and int e^{-x^2/2} dx = sqrt(2 pi)
+    calls = []
 
-    got = thermo.quad(f, [0.0, 1.0], [1.0, 3.0])
-    assert got[0] == pytest.approx(2.0 * 3.0 ** 1.5 / 3.0, rel=1e-12)
-    assert got[1] == pytest.approx(1.0 - math.exp(-3.0), rel=1e-12)
+    def f(x):
+        calls.append(len(x))
+        return np.stack([np.exp(x - np.exp(x)), np.exp(-0.5 * x * x)])
+
+    got = thermo.quad(f, -40.0, 40.0)
+    assert got[0] == pytest.approx(1.0, rel=1e-13)
+    assert got[1] == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-13)
+    # each halving evaluates only the new midpoints
+    assert calls[1:] == [(calls[0] - 1) * 2 ** i for i in range(len(calls) - 1)]
+
+    # a NaN sum is returned at once, without refining
+    calls.clear()
+    got = thermo.quad(lambda x: f(x) * np.nan, -40.0, 40.0)
+    assert np.all(np.isnan(got)) and len(calls) == 1
+
+    # a range past the node cap raises before f sees a node
+    calls.clear()
+    with pytest.raises(ValueError, match="nodes"):
+        thermo.quad(f, 0.0, float(thermo._MAX_NODES))
+    with pytest.raises(ValueError, match="nodes"):
+        thermo.quad(f, -np.inf, 0.0)
+    assert calls == []
 
 
 def test_moment_matches_demand():
