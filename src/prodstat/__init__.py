@@ -15,8 +15,8 @@ from .gb2 import FitResult, Gb2Params, fit_mle
 from .ingest import FilterConfig, build_samples, load_csv, ranksize, sector_aggregate
 from .simulate import SimConfig, SimOutput, run_sim, verify_tail_relation
 from .superstat import (BetaWeight, DemandIndexPoint, ParetoIndices, Regime,
-                        SectorClass, b_factor, delta_from_gamma,
-                        gamma_from_mus, kappa_from_mus, mu_w_predicted)
+                        b_factor, delta_from_gamma, gamma_from_mus,
+                        kappa_from_mus, mu_w_predicted)
 from .thermo import (ThermoModel, check_monotonicity, demand,
                      demand_expansion, moment, partition, partition_expansion)
 
@@ -27,7 +27,7 @@ __all__ = [
     "TooManyBadRows", "EmptyYear",
     "Gb2Params", "FitResult", "fit_mle",
     "ParetoIndices", "DemandIndexPoint", "BetaWeight", "Regime",
-    "SectorClass", "gamma_from_mus", "delta_from_gamma", "kappa_from_mus",
+    "gamma_from_mus", "delta_from_gamma", "kappa_from_mus",
     "mu_w_predicted", "b_factor",
     "ThermoModel", "partition", "demand", "moment",
     "partition_expansion", "demand_expansion", "check_monotonicity",

@@ -226,14 +226,9 @@ def _cmd_index(args) -> int:
             continue
         indices = ParetoIndices(
             mu_f=firm_fit.params.mu, mu_w=worker_fit.params.mu,
-            mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr,
-            year=year, sector_class=ingest.CLASS_BY_CODE[args.klass])
+            mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr)
         point = kappa_from_mus(indices)
-        entry = {"year": year,
-                 "mu_f": indices.mu_f, "mu_f_stderr": indices.mu_f_stderr,
-                 "mu_w": indices.mu_w, "mu_w_stderr": indices.mu_w_stderr,
-                 "gamma": point.gamma, "delta": point.delta,
-                 "kappa": point.kappa, "kappa_stderr": point.kappa_stderr,
+        entry = {"year": year, **vars(indices), **vars(point),
                  "regime": point.regime.value}
         for side, fr in (("firm", firm_fit), ("worker", worker_fit)):
             entry.update((f"{side}_{name}", getattr(fr, name))
@@ -396,16 +391,19 @@ def _cmd_thermo(args) -> int:
 
     mono = thermo.check_monotonicity(model, grid)
 
-    beta_lo = 1e-9 / model.c0
-    beta_hi = 1e4 / model.c0
+    # the relative demand deficit is O((c0 beta)^e), e = min(mu_f - 1, 1):
+    # beta_lo brings it to about 1e-3 where e < 1/3
+    e = min(model.mu_f - 1.0, 1.0)
+    beta_lo = 1e-9 ** max(1.0, 1.0 / (3.0 * e)) / model.c0
+    # with a = low_exp, p(floor + u) / u^(a - 1) does not increase in u, so
+    # the tilted law lies below Gamma(a, beta) and D - floor <= a / beta,
+    # with the ratio tending to 1 as beta -> inf
+    a = model.low_exp
+    beta_hi = 1e4 * (max(a, 1.0) / model.scale + model.rate)
     d_lo = thermo.demand(model, beta_lo)
     d_hi = thermo.demand(model, beta_hi)
     low_ok = abs(d_lo / model.mean0 - 1.0) <= 1e-2
-    if isinstance(model.firm_pdf, thermo.TabulatedTailPdf):
-        # support floor at c0: infinite-beta demand approaches c0, not 0
-        high_ok = d_hi <= model.c0 * 1.01
-    else:
-        high_ok = d_hi < 1e-3 * model.mean0
+    high_ok = 0.9 <= (d_hi - model.floor) * beta_hi / a <= 1.0 + 1e-9
 
     expansion = _check_expansion(model, grid)
     exp_ok = all(p["passed"] for p in expansion.get("points", ()))
@@ -415,7 +413,8 @@ def _cmd_thermo(args) -> int:
                "model": {"mu_f": model.mu_f, "c0": model.c0,
                          "mean0": model.mean0, "m2": model.m2},
                "monotonicity": mono,
-               "limits": {"demand_at_beta_lo": d_lo,
+               "limits": {"beta_lo": beta_lo, "beta_hi": beta_hi,
+                          "demand_at_beta_lo": d_lo,
                           "demand_at_beta_hi": d_hi,
                           "low_ok": low_ok, "high_ok": high_ok},
                "expansion": expansion,

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyYear, SchemaError, TooManyBadRows
-from .superstat import SectorClass
 
 SCHEMA_V1 = ("firm_id", "year", "sector_code", "sector_class",
              "value_added", "workers_eoy")
@@ -56,8 +55,7 @@ R_DUPLICATE = "duplicate firm-year"
 _BUILD_REASONS = ("", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE, R_MIN_WORKERS,
                   R_CAP)
 
-CLASS_BY_CODE = {"M": SectorClass.MANUFACTURING,
-                 "N": SectorClass.NONMANUFACTURING}
+CLASS_CODES = ("M", "N")
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,9 @@ def _table(**columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_csv(path, schema_version: int = 1) -> LoadResult:
-    """Parse the panel CSV.  Raises SchemaError on a wrong header or
-    unsupported schema_version, TooManyBadRows past the 1% threshold."""
-    if schema_version != 1:
-        raise SchemaError(f"unsupported schema_version {schema_version!r}")
+def load_csv(path) -> LoadResult:
+    """Parse the panel CSV.  Raises SchemaError on a wrong header,
+    TooManyBadRows past the 1% threshold."""
     with open(Path(path), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -175,7 +171,7 @@ def _parse_row(row, columns, exclusions) -> str | None:
         return "value_added is NaN"
     if math.isinf(value):
         return f"value_added {value_s!r} is infinite"
-    if class_s not in CLASS_BY_CODE:
+    if class_s not in CLASS_CODES:
         return f"unknown sector_class {class_s!r} (want M or N)"
     if workers == 0:
         exclusions.append(Exclusion(firm_id, year, R_ZERO_WORKERS))

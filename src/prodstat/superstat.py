@@ -31,12 +31,6 @@ _FIXED_POINT_TOL = 1e-6     # |mu_f - 1| below this is the degenerate fixed poin
 _KAPPA_CONSISTENCY = 1e-12  # kappa must equal 1/(2-delta) this tightly
 
 
-class SectorClass(str, Enum):
-    MANUFACTURING = "Manufacturing"
-    NONMANUFACTURING = "Nonmanufacturing"
-    ALL = "All"
-
-
 class Regime(str, Enum):
     SUPERSTATISTICAL = "Superstatistical"
     FIXED_POINT_DEGENERATE = "FixedPointDegenerate"
@@ -51,8 +45,6 @@ class ParetoIndices:
     mu_w: float
     mu_f_stderr: float = 0.0
     mu_w_stderr: float = 0.0
-    year: int = 0
-    sector_class: SectorClass = SectorClass.ALL
 
     def __post_init__(self):
         if not (self.mu_f > 0.0 and self.mu_w > 0.0):
@@ -74,8 +66,6 @@ class DemandIndexPoint:
     kappa: float | None
     kappa_stderr: float | None
     regime: Regime
-    year: int = 0
-    sector_class: SectorClass = SectorClass.ALL
 
     def __post_init__(self):
         if self.regime is Regime.SUPERSTATISTICAL:
@@ -178,14 +168,12 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
         delta = math.nan if near_fixed_point else _delta(gamma, p.mu_f)
         return DemandIndexPoint(gamma=gamma, delta=delta, kappa=None,
                                 kappa_stderr=None,
-                                regime=Regime.NEGATIVE_TEMPERATURE,
-                                year=p.year, sector_class=p.sector_class)
+                                regime=Regime.NEGATIVE_TEMPERATURE)
 
     if near_fixed_point:
         return DemandIndexPoint(gamma=gamma, delta=math.nan, kappa=None,
                                 kappa_stderr=None,
-                                regime=Regime.FIXED_POINT_DEGENERATE,
-                                year=p.year, sector_class=p.sector_class)
+                                regime=Regime.FIXED_POINT_DEGENERATE)
 
     delta = delta_from_gamma(gamma, p.mu_f)
     if p.mu_f >= 2.0:
@@ -198,8 +186,7 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
                + (kappa * p.mu_w_stderr / (p.mu_w - 1.0)) ** 2)
     return DemandIndexPoint(gamma=gamma, delta=delta, kappa=kappa,
                             kappa_stderr=math.sqrt(var),
-                            regime=Regime.SUPERSTATISTICAL,
-                            year=p.year, sector_class=p.sector_class)
+                            regime=Regime.SUPERSTATISTICAL)
 
 
 def b_factor(w: BetaWeight, c: float) -> float:

@@ -27,6 +27,7 @@ power-law tail on [c0, inf) for tail-only work.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,75 +46,85 @@ _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
 
 
 @dataclass(frozen=True)
-class ExponentialPdf:
-    """p(c) = e^{-c/mean} / mean on c > 0."""
-
-    mean: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.mean > 0.0):
-            raise ValueError("exponential mean must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class TabulatedTailPdf:
-    """Pure Pareto tail: p(c) = mu c0^mu c^{-mu-1} on c >= c0, so the
-    upper-tail cdf is exactly (c/c0)^-mu."""
-
-    mu: float
-    c0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 1.0):
-            raise ValueError("tail index must be finite and > 1")
-        if not (math.isfinite(self.c0) and self.c0 > 0.0):
-            raise ValueError("tail scale must be finite and > 0")
-
-
-@dataclass(frozen=True)
 class ThermoModel:
-    """A firm-productivity pdf with cached tail and moment constants.
+    """A firm-productivity pdf as the data the computations read.
 
-    mean0 is the unweighted mean <c>_0 (requires mu_f > 1); m2 is
-    <c^2>_0, present exactly when mu_f > 2.  c0 is the Pareto tail
-    scale; for the exponential model, which has no power tail, c0
-    carries the mean as the characteristic scale used by the expansion
-    validity guard.
+    mu_f is the Pareto tail index and c0 the tail scale; for the
+    exponential model, which has no power tail, mu_f is inf and c0
+    carries the mean as the scale of the expansion validity guard.
+    mean0 is <c>_0 (requires mu_f > 1) and m2 is <c^2>_0, present exactly
+    when mu_f > 2; moment0(n) is <c^n>_0 in closed form for n < mu_f.
+
+    ln_p(c, ln c) is the log density on node arrays.  The support starts
+    at floor, and below scale p(floor + u) ~ u^(low_exp - 1) holds to
+    within a factor e; rate is the model's own e^{-rate u} factor (0 for
+    the power tails).  p(floor + u) / u^(low_exp - 1) does not increase
+    in u for any family.  tail_q is the exponent of the GB2 tail's
+    (c/c1)^-q correction, inf for the other families.
+
+    Each constructor is the one place that knows its family.
     """
 
-    firm_pdf: gb2.Gb2Params | ExponentialPdf | TabulatedTailPdf
     mu_f: float
     c0: float
     mean0: float
     m2: float | None
+    moment0: Callable[[int], float]
+    ln_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    floor: float
+    scale: float
+    low_exp: float
+    rate: float
+    tail_q: float
 
     @classmethod
-    def _of(cls, pdf, mu_f: float, c0: float) -> "ThermoModel":
-        return cls(firm_pdf=pdf, mu_f=mu_f, c0=c0, mean0=_moment0(pdf, 1),
-                   m2=_moment0(pdf, 2) if mu_f > 2.0 else None)
+    def _of(cls, mu_f: float, c0: float, moment0, **terms) -> "ThermoModel":
+        return cls(mu_f=mu_f, c0=c0, mean0=moment0(1),
+                   m2=moment0(2) if mu_f > 2.0 else None, moment0=moment0,
+                   **terms)
 
     @classmethod
-    def from_gb2(cls, params: gb2.Gb2Params) -> "ThermoModel":
-        if params.mu <= 1.0:
+    def from_gb2(cls, p: gb2.Gb2Params) -> "ThermoModel":
+        if p.mu <= 1.0:
             raise ValueError("mean diverges for mu <= 1; no thermodynamics")
-        return cls._of(params, params.mu, gb2.tail_scale(params))
+        ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
+        ln_c1 = math.log(p.c1)
+
+        def ln_p(c, lc):
+            t = lc - ln_c1
+            return (ln_norm - lc + p.nu * t
+                    - (p.mu + p.nu) / p.q * kernels.softplus(p.q * t))
+
+        return cls._of(p.mu, gb2.tail_scale(p), lambda n: gb2.moment(p, n),
+                       ln_p=ln_p, floor=0.0,
+                       scale=p.c1 * min(1.0, p.q / (p.mu + p.nu)) ** (1.0 / p.q),
+                       low_exp=p.nu, rate=0.0, tail_q=p.q)
 
     @classmethod
     def exponential(cls, mean: float) -> "ThermoModel":
-        return cls._of(ExponentialPdf(mean), math.inf, mean)
+        """p(c) = e^{-c/mean} / mean on c > 0."""
+        if not (math.isfinite(mean) and mean > 0.0):
+            raise ValueError("exponential mean must be finite and > 0")
+        ln_lam = -math.log(mean)
+        return cls._of(math.inf, mean,
+                       lambda n: math.factorial(n) * mean ** n,
+                       ln_p=lambda c, lc: ln_lam - c / mean, floor=0.0,
+                       scale=math.inf, low_exp=1.0, rate=1.0 / mean,
+                       tail_q=math.inf)
 
     @classmethod
     def tabulated_tail(cls, mu_f: float, c0: float) -> "ThermoModel":
-        return cls._of(TabulatedTailPdf(mu_f, c0), mu_f, c0)
-
-
-def _moment0(pdf, n: int) -> float:
-    """<c^n>_0 in closed form, for 0 <= n < mu_f."""
-    if isinstance(pdf, gb2.Gb2Params):
-        return gb2.moment(pdf, n)
-    if isinstance(pdf, ExponentialPdf):
-        return math.factorial(n) * pdf.mean ** n
-    return pdf.mu * pdf.c0 ** n / (pdf.mu - n)
+        """Pure Pareto tail: p(c) = mu_f c0^mu_f c^{-mu_f-1} on c >= c0, so
+        the upper-tail cdf is exactly (c/c0)^-mu_f."""
+        if not (math.isfinite(mu_f) and mu_f > 1.0):
+            raise ValueError("tail index must be finite and > 1")
+        if not (math.isfinite(c0) and c0 > 0.0):
+            raise ValueError("tail scale must be finite and > 0")
+        ln_a = math.log(mu_f) + mu_f * math.log(c0)
+        return cls._of(mu_f, c0, lambda n: mu_f * c0 ** n / (mu_f - n),
+                       ln_p=lambda c, lc: ln_a - (mu_f + 1.0) * lc,
+                       floor=c0, scale=c0 / (mu_f + 1.0), low_exp=1.0,
+                       rate=0.0, tail_q=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -149,61 +160,40 @@ def quad(f, a: float, b: float) -> np.ndarray:
     return total
 
 
-def _density(m: ThermoModel):
-    """The model's terms for quadrature: ln p(c) as a function of node
-    arrays (c, ln c), the support floor lo, the scale s below which
-    p(lo + u) ~ u^(a - 1) holds to within a factor e, the exponent a,
-    and the rate of the model's own e^{-u/mean} factor (0 for the power
-    tails)."""
-    p = m.firm_pdf
-    if isinstance(p, gb2.Gb2Params):
-        ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
-        ln_c1 = math.log(p.c1)
-
-        def ln_p(c, lc):
-            t = lc - ln_c1
-            return (ln_norm - lc + p.nu * t
-                    - (p.mu + p.nu) / p.q * kernels.softplus(p.q * t))
-
-        s = p.c1 * min(1.0, p.q / (p.mu + p.nu)) ** (1.0 / p.q)
-        return ln_p, 0.0, s, p.nu, 0.0
-    if isinstance(p, ExponentialPdf):
-        ln_lam = -math.log(p.mean)
-        return ((lambda c, lc: ln_lam - c / p.mean), 0.0, math.inf, 1.0,
-                1.0 / p.mean)
-    ln_a = math.log(p.mu) + p.mu * math.log(p.c0)
-    return ((lambda c, lc: ln_a - (p.mu + 1.0) * lc), p.c0,
-            p.c0 / (p.mu + 1.0), 1.0, 0.0)
-
-
 def _laplace(m: ThermoModel, beta: float, orders) -> tuple[list, float]:
-    """(values, lo): int u^n e^{-beta u} p(c) dc for each n in orders and
-    beta > 0, from one quad call, where lo is the support floor and
-    u = c - lo.
+    """(values, ln_scale) for beta > 0, from one quad call: each value
+    times e^{ln_scale} is int u^n e^{-beta c} p(c) dc for its n in
+    orders, where u = c - floor.
 
-    In x = ln u each integrand is smooth and decays like e^{(n + a) x}
-    below min(s, 1/r), r = beta + the model's own rate, and above like a
-    gamma density in r u of shape at most n + a.  The range keeps
-    _TAIL_EFOLDS e-folds of the first and ends at
-    r u = _TAIL_EFOLDS + 4 (n + a + 1).  Powers of u rather than of c
-    keep the variance of the floor-supported tail model free of
-    cancellation, and e^{-beta u} leaves the caller a factor e^{-beta lo}
-    that cancels in ratios and lets demand stay computable where the
-    absolute Z underflows.
+    In x = ln u each integrand is smooth and decays like
+    e^{(n + low_exp) x} below min(scale, 1/r), r = beta + rate, and above
+    like a gamma density in r u of shape at most n + low_exp.  The range
+    keeps _TAIL_EFOLDS e-folds of the first and ends at
+    r u = _TAIL_EFOLDS + 4 (n + low_exp + 1).  Powers of u rather than
+    of c keep the variance of the floor-supported tail model free of
+    cancellation.  The integrands are divided by the largest order-0
+    value on quad's first level, so ratios stay finite where Z
+    underflows; ln_scale restores that factor and e^{-beta floor}.
     """
-    ln_p, lo, s, a, rate = _density(m)
-    r = beta + rate
-    x_lo = math.log(min(s, 1.0 / r)) - _TAIL_EFOLDS / (min(orders) + a)
-    x_hi = math.log((_TAIL_EFOLDS + 4.0 * (max(orders) + a + 1.0)) / r)
+    r = beta + m.rate
+    x_lo = (math.log(min(m.scale, 1.0 / r))
+            - _TAIL_EFOLDS / (min(orders) + m.low_exp))
+    x_hi = math.log((_TAIL_EFOLDS + 4.0 * (max(orders) + m.low_exp + 1.0)) / r)
     n = np.asarray(orders, dtype=np.float64)[:, None]
+    floor = m.floor
+    peak = None
 
     def f(x):
+        nonlocal peak
         u = np.exp(x)
-        c = lo + u
-        expo = x + ln_p(c, np.log(c) if lo else x) - beta * u
-        return np.exp(n * x + expo)
+        c = floor + u
+        expo = x + m.ln_p(c, np.log(c) if floor else x) - beta * u
+        if peak is None:
+            peak = float(expo.max())
+        return np.exp(n * x + (expo - peak))
 
-    return quad(f, x_lo, x_hi).tolist(), lo
+    vals = quad(f, x_lo, x_hi).tolist()
+    return vals, peak - beta * floor
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +206,8 @@ def partition(m: ThermoModel, beta: float) -> float:
         raise ValueError(f"partition requires finite beta >= 0, got {beta!r}")
     if beta == 0.0:
         return 1.0
-    (z,), lo = _laplace(m, beta, (0,))
-    return z * math.exp(-beta * lo)
+    (z,), ln_scale = _laplace(m, beta, (0,))
+    return z * math.exp(ln_scale)
 
 
 def demand(m: ThermoModel, beta: float) -> float:
@@ -226,8 +216,8 @@ def demand(m: ThermoModel, beta: float) -> float:
         raise ValueError(f"demand requires finite beta >= 0, got {beta!r}")
     if beta == 0.0:
         return m.mean0
-    (z, m1), lo = _laplace(m, beta, (0, 1))
-    return lo + m1 / z
+    (z, m1), _ = _laplace(m, beta, (0, 1))
+    return m.floor + m1 / z
 
 
 def moment(m: ThermoModel, n: int, beta: float) -> float:
@@ -241,10 +231,10 @@ def moment(m: ThermoModel, n: int, beta: float) -> float:
         if n >= m.mu_f:
             raise DivergentMoment(
                 f"<c^{n}> at beta = 0 diverges for mu_f = {m.mu_f}")
-        return _moment0(m.firm_pdf, n)
-    vals, lo = _laplace(m, beta, range(n + 1))
-    # <c^n> from the moments of u = c - lo, all terms nonnegative
-    return sum(math.comb(n, k) * lo ** (n - k) * v
+        return m.moment0(n)
+    vals, _ = _laplace(m, beta, range(n + 1))
+    # <c^n> from the moments of u = c - floor, all terms nonnegative
+    return sum(math.comb(n, k) * m.floor ** (n - k) * v
                for k, v in enumerate(vals)) / vals[0]
 
 
@@ -317,10 +307,7 @@ def expansion_error_orders(m: ThermoModel, x: float) -> tuple[float, float]:
     d_order = e / (1.0 - x ** e)
     if m.mu_f > 2.0:
         return d_order, min(m.mu_f - 1.0, 2.0)
-    if isinstance(m.firm_pdf, gb2.Gb2Params):
-        q = m.firm_pdf.q
-        return min(d_order, q), min(1.0, m.mu_f - 1.0 + q)
-    return d_order, 1.0
+    return min(d_order, m.tail_q), min(1.0, m.mu_f - 1.0 + m.tail_q)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +346,9 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     points = []
     prev_demand = math.inf
     for beta in grid:
-        (z, m1, m2), lo = _laplace(m, beta, (0, 1, 2))
+        (z, m1, m2), _ = _laplace(m, beta, (0, 1, 2))
         mean_u = m1 / z
-        d_mid = lo + mean_u
+        d_mid = m.floor + mean_u
         d_lo = demand(m, beta * (1.0 - _FD_STEP))
         d_hi = demand(m, beta * (1.0 + _FD_STEP))
         dd_dbeta = (d_hi - d_lo) / (2.0 * beta * _FD_STEP)

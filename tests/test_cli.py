@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import gb2, simulate, thermo
+from prodstat import cli, gb2, simulate, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
@@ -339,6 +339,50 @@ def test_thermo_small_nu_gb2(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert all(p["demand"] > 0.0 for p in payload["monotonicity"]["points"])
+
+
+# models that fixed-beta limit checks got wrong: demand at beta = 1e4/c0
+# still far from 0 for large-nu gb2 (D ~ nu / beta), a demand deficit
+# O((c0 beta)^(mu_f - 1)) still above 1% at beta = 1e-9/c0 for mu_f near
+# 1, and a Z that underflows on the grid
+@pytest.mark.parametrize("model,grid", [
+    ("gb2:mu=2.5,nu=30,q=1.0,c1=1.0", None),
+    ("gb2:mu=2.5,nu=60,q=1.0,c1=1.0", None),
+    ("gb2:mu=2.5,nu=100,q=1.0,c1=1.0", None),
+    ("gb2:mu=3,nu=2,q=0.1,c1=1.0", None),
+    ("tail:mu=1.1,c0=1.0", None),
+    ("gb2:mu=1.2,nu=1.0,q=1.0,c1=1.0", None),
+    ("gb2:mu=2.5,nu=100,q=1.0,c1=1.0", "1e-3:1e7:3")])
+def test_thermo_limits_from_each_models_asymptotes(model, grid, tmp_path):
+    out = tmp_path / "t.json"
+    argv = ["thermo", "--model", model, "--out", str(out)]
+    if grid is not None:
+        argv += ["--beta-grid", grid]
+    assert main(argv) == 0
+    limits = json.loads(out.read_text())["limits"]
+    assert limits["low_ok"] and limits["high_ok"]
+    assert 0.0 < limits["beta_lo"] < limits["beta_hi"]
+
+
+@pytest.mark.parametrize("model", ["gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0",
+                                   "exponential:mean=1.0",
+                                   "tail:mu=1.5,c0=1.0"])
+@pytest.mark.parametrize("field,factor,flag", [("mean0", 1.05, "low_ok"),
+                                               ("low_exp", 2.0, "high_ok")])
+def test_thermo_wrong_limit_constant_exit_four(model, field, factor, flag,
+                                               tmp_path, monkeypatch):
+    parse = cli._parse_model
+
+    def wrong(spec):
+        m = parse(spec)
+        return dataclasses.replace(m, **{field: factor * getattr(m, field)})
+
+    monkeypatch.setattr(cli, "_parse_model", wrong)
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", model, "--out", str(out)]) == 4
+    limits = json.loads(out.read_text())["limits"]
+    assert limits[flag] is False
+    assert limits["high_ok" if flag == "low_ok" else "low_ok"] is True
 
 
 # one model per branch of thermo.demand_expansion: mu_f > 2 (the README

@@ -10,7 +10,6 @@ import pytest
 from prodstat import ingest
 from prodstat.errors import EmptyYear, SchemaError, TooManyBadRows
 from prodstat.ingest import FilterConfig, build_samples, load_csv
-from prodstat.superstat import SectorClass
 
 HEADER = "firm_id,year,sector_code,sector_class,value_added,workers_eoy\n"
 
@@ -32,15 +31,8 @@ def test_load_basic(tmp_path):
     assert result.exclusions == ()
     rec = result.records[0]
     assert rec["firm_id"] == "A"
-    assert ingest.CLASS_BY_CODE[rec["sector_class"]] is SectorClass.MANUFACTURING
     assert rec["workers_eoy"] == 10
     assert result.records.dtype.names == ingest.SCHEMA_V1
-
-
-def test_schema_version_rejected(tmp_path):
-    path = _write(tmp_path, "")
-    with pytest.raises(SchemaError):
-        load_csv(path, schema_version=2)
 
 
 def test_missing_column_named(tmp_path):

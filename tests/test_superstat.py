@@ -216,9 +216,7 @@ def test_b_factor_monotone_decreasing():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_sector_class_values():
-    assert superstat.SectorClass.MANUFACTURING.value == "Manufacturing"
-    assert superstat.SectorClass.NONMANUFACTURING.value == "Nonmanufacturing"
+def test_regime_values():
     assert superstat.Regime.SUPERSTATISTICAL.value == "Superstatistical"
     assert superstat.Regime.NEGATIVE_TEMPERATURE.value == "NegativeTemperature"
     assert superstat.Regime.FIXED_POINT_DEGENERATE.value == "FixedPointDegenerate"

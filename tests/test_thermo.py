@@ -133,9 +133,9 @@ def test_moments_at_zero_beta_match_closed_forms():
               ThermoModel.tabulated_tail(2.5, 0.3)):
         assert thermo.moment(m, 1, 0.0) == pytest.approx(m.mean0, rel=1e-10)
         assert thermo.moment(m, 2, 0.0) == pytest.approx(m.m2, rel=1e-10)
-    m = _gb2_model(3.5, 1.5, 0.9, 1.2)
-    assert thermo.moment(m, 3, 0.0) == pytest.approx(
-        gb2.moment(m.firm_pdf, 3), rel=1e-10)
+    p = gb2.Gb2Params(3.5, 1.5, 0.9, 1.2)
+    assert thermo.moment(ThermoModel.from_gb2(p), 3, 0.0) == pytest.approx(
+        gb2.moment(p, 3), rel=1e-10)
 
 
 @pytest.mark.parametrize("args,z_ref,d_ref", SMALL_NU_REF)
@@ -349,6 +349,20 @@ def test_demand_limits():
     m = _gb2_model(2.5, 0.8, 1.2, 2.0)
     assert thermo.demand(m, 1e-9) == pytest.approx(m.mean0, rel=1e-6)
     assert thermo.demand(m, 1e4) < 1e-3 * m.mean0
+
+
+def test_demand_below_gamma_bound_tight_at_large_beta():
+    # p(floor + u) / u^(low_exp - 1) does not increase in u, so the
+    # tilted law lies below Gamma(low_exp, beta): (D - floor) beta /
+    # low_exp <= 1 at every beta, tending to 1 as beta -> inf
+    for m in (ThermoModel.exponential(2.0), ThermoModel.tabulated_tail(1.5, 1.0),
+              _gb2_model(2.5, 0.8, 1.2, 2.0), _gb2_model(3.0, 2.0, 0.1, 1.0),
+              _gb2_model(2.5, 100.0, 1.0, 1.0)):
+        unit = max(m.low_exp, 1.0) / m.scale + m.rate
+        ratios = [(thermo.demand(m, b) - m.floor) * b / m.low_exp
+                  for b in unit * np.geomspace(1e-3, 1e4, 8)]
+        assert all(r <= 1.0 + 1e-12 for r in ratios)
+        assert ratios[-1] > 0.9
 
 
 def test_model_validation():
