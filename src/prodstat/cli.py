@@ -252,13 +252,18 @@ def _cmd_index(args) -> int:
 # simulate
 
 
+def _env_seed() -> int | None:
+    text = os.environ.get(_ENV_SEED)
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise _UsageError(f"{_ENV_SEED} must be an integer, got {text!r}") from None
+
+
 def _cmd_simulate(args) -> int:
-    values = simulate.parse_scenario(args.scenario)
-    env_seed = os.environ.get(_ENV_SEED)
-    default_seed = int(env_seed) if env_seed is not None else None
-    cfg = simulate.scenario_config(values, default_seed=default_seed)
-    manifest = _manifest("simulate", inputs=[args.scenario],
-                         filters={}, seed=cfg.seed)
+    scenario = simulate.parse_scenario(args.scenario, default_seed=_env_seed)
+    cfg = scenario.config
+    manifest = _manifest("simulate", inputs=[args.scenario], seed=cfg.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = simulate.run_sim(cfg)
@@ -267,28 +272,18 @@ def _cmd_simulate(args) -> int:
                ((i, float(c), int(n)) for i, (c, n) in enumerate(
                    zip(out.firm_productivities, out.worker_counts))))
     diag = {"manifest": manifest,
-            "total_workers": out.diagnostics.total_workers,
+            "total_workers": int(out.worker_counts.sum()),
             "n_epochs": cfg.n_epochs,
             "epochs": [{"beta": float(b), "demand": float(d)}
-                       for b, d in zip(out.realized_betas,
-                                       out.diagnostics.epoch_demand)]}
+                       for b, d in zip(out.realized_betas, out.epoch_demand)]}
     _write_json(os.path.join(args.out_dir, "diagnostics.json"), diag)
 
-    if not values.get("verify", True):
+    if not scenario.verify:
         return 0
-
-    w = cfg.beta_weight
-    window = (values.get("fit_window_lo", 10.0 / w.beta_max * 1.001),
-              values.get("fit_window_hi", 0.1 / w.beta_min * 0.999))
-    tolerance = values.get("tolerance", 0.15)
     report_path = os.path.join(args.out_dir, "report.json")
     try:
-        if not window[0] < window[1]:
-            raise WindowError(
-                f"empty scaling window: c_lo={window[0]:.4g} >= "
-                f"c_hi={window[1]:.4g}")
-        report = simulate.verify_tail_relation(cfg, window,
-                                               tolerance=tolerance, sim=out)
+        report = simulate.verify_tail_relation(cfg, out, scenario.window,
+                                               scenario.tolerance)
     except WindowError as exc:
         _write_json(report_path, {"manifest": manifest,
                                   "window_error": str(exc),
@@ -303,26 +298,30 @@ def _cmd_simulate(args) -> int:
 # thermo
 
 
+# model kind -> (constructor, the keys of its spec in argument order)
+_MODEL_KINDS = {
+    "exponential": (thermo.ThermoModel.exponential, ("mean",)),
+    "gb2": (lambda *p: thermo.ThermoModel.from_gb2(gb2.Gb2Params(*p)),
+            ("mu", "nu", "q", "c1")),
+    "tail": (thermo.ThermoModel.tabulated_tail, ("mu", "c0")),
+}
+
+
 def _parse_model(spec: str) -> thermo.ThermoModel:
     kind, _, rest = spec.partition(":")
+    if kind not in _MODEL_KINDS:
+        raise _UsageError(f"unknown model kind {kind!r} "
+                          f"(want {', '.join(_MODEL_KINDS)})")
+    make, keys = _MODEL_KINDS[kind]
+    items = [item.partition("=") for item in rest.split(",") if item]
+    if sorted(key.strip() for key, _, _ in items) != sorted(keys):
+        raise _UsageError(f"bad model spec {spec!r}: {kind} wants each of "
+                          f"{', '.join(keys)} once and no other key")
+    values = {key.strip(): val for key, _, val in items}
     try:
-        kv = {}
-        for item in rest.split(","):
-            if not item:
-                continue
-            key, _, val = item.partition("=")
-            kv[key.strip()] = float(val)
-        if kind == "exponential":
-            return thermo.ThermoModel.exponential(kv["mean"])
-        if kind == "gb2":
-            return thermo.ThermoModel.from_gb2(
-                gb2.Gb2Params(kv["mu"], kv["nu"], kv["q"], kv["c1"]))
-        if kind == "tail":
-            return thermo.ThermoModel.tabulated_tail(kv["mu"], kv["c0"])
-    except (KeyError, ValueError) as exc:
+        return make(*(float(values[key]) for key in keys))
+    except ValueError as exc:
         raise _UsageError(f"bad model spec {spec!r}: {exc}") from None
-    raise _UsageError(
-        f"unknown model kind {kind!r} (want exponential, gb2, or tail)")
 
 
 def _parse_beta_grid(spec: str) -> np.ndarray:
@@ -496,9 +495,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("thermo", help="partition-function checks")
-    p.add_argument("--model", required=True,
-                   help="exponential:mean=V | gb2:mu=V,nu=V,q=V,c1=V | "
-                        "tail:mu=V,c0=V")
+    p.add_argument("--model", required=True, help=" | ".join(
+        f"{kind}:" + ",".join(f"{key}=V" for key in keys)
+        for kind, (_, keys) in _MODEL_KINDS.items()))
     p.add_argument("--beta-grid", default="1e-3:1e3:50",
                    help="log-spaced grid lo:hi:n")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")

@@ -246,7 +246,6 @@ class _NewtonPath:
     hess: np.ndarray | None
     n_iterations: int
     n_passes: int          # fused likelihood passes, trial points included
-    n_damped: int          # steps that needed a Hessian shift
     converged: bool
 
 
@@ -266,7 +265,7 @@ def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
     theta = np.array(theta0, dtype=np.float64)
     f, g, h = _nll_derivatives(theta, lc, w, w_total, wlc_total)
     n_passes = 1
-    n_iter = n_damped = 0
+    n_iter = 0
     converged = False
     while g is not None and n_iter < _NEWTON_MAX_ITER:
         found = _damped_newton_step(g, h)
@@ -277,7 +276,6 @@ def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
             converged = True
             break
         n_iter += 1
-        n_damped += lam > 0.0
         alpha = 1.0
         for _ in range(_MAX_BACKTRACK):
             trial = theta + alpha * step
@@ -290,8 +288,7 @@ def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
             break
         theta, f, g, h = trial, ft, gt, ht
     return _NewtonPath(theta=theta, f=f, hess=h, n_iterations=n_iter,
-                       n_passes=n_passes, n_damped=n_damped,
-                       converged=converged)
+                       n_passes=n_passes, converged=converged)
 
 
 def _tail_index_guess(c_sorted_desc: np.ndarray, w_desc: np.ndarray) -> float:
@@ -388,8 +385,7 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     if init is not None:
         starts = [np.log([init.mu, init.nu, init.q, init.c1])]
     else:
-        order_desc = np.argsort(uc)[::-1]
-        mu0 = _tail_index_guess(uc[order_desc], uw[order_desc])
+        mu0 = _tail_index_guess(uc[::-1], uw[::-1])
         c1_0 = _weighted_median(uc, uw)
         base = np.log([mu0, 1.0, 1.0, c1_0])
         starts = [base + np.log(fac) for fac in _START_FACTORS]

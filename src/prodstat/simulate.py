@@ -11,14 +11,13 @@ pipeline and compares.
 
 Determinism: a master seed feeds a seed tree (firm draw, beta draws,
 allocation draws), so identical configs give bit-identical outputs.
-Epochs consume the allocation stream in order; they are independent
-given per-epoch seeds and could run concurrently with a deterministic
-merge, but the sequential loop is already cheap.
+Epochs consume the allocation stream in order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .superstat import BetaWeight
 _MIN_TAIL_FIT_FIRMS = 1000
 _WINDOW_LO_MIN = 10.0      # require beta_max * c_lo above this
 _WINDOW_HI_MAX = 0.1       # require beta_min * c_hi below this
+_TOLERANCE = 0.15          # allowed |measured - predicted| of mu_w
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,11 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimDiagnostics:
-    total_workers: int
-    epoch_demand: np.ndarray   # realized sum(n_k c_k) / N per epoch
-
-
-@dataclass(frozen=True)
 class SimOutput:
     firm_productivities: np.ndarray   # c_k, draw order
     worker_counts: np.ndarray         # n_k summed over epochs
     realized_betas: np.ndarray        # one beta per epoch
-    diagnostics: SimDiagnostics
+    epoch_demand: np.ndarray          # sum(n_k c_k) / N, one per epoch
 
 
 def sample_betas(w: BetaWeight, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,13 +83,7 @@ def run_sim(cfg: SimConfig) -> SimOutput:
         counts += n_k
         epoch_demand[j] = (n_k @ c) / cfg.n_workers_per_epoch
 
-    return SimOutput(
-        firm_productivities=c,
-        worker_counts=counts,
-        realized_betas=betas,
-        diagnostics=SimDiagnostics(
-            total_workers=int(counts.sum()),
-            epoch_demand=epoch_demand))
+    return SimOutput(c, counts, betas, epoch_demand)
 
 
 @dataclass(frozen=True)
@@ -117,24 +105,26 @@ class TailRelationReport:
     worker_fit: gb2.FitResult
 
 
-def verify_tail_relation(cfg: SimConfig, fit_window: tuple[float, float],
-                         tolerance: float = 0.15,
-                         sim: SimOutput | None = None) -> TailRelationReport:
-    """Run the allocation, fit both tails, compare measured vs predicted.
+def verify_tail_relation(cfg: SimConfig, out: SimOutput,
+                         window: tuple[float, float],
+                         tolerance: float = _TOLERANCE) -> TailRelationReport:
+    """Fit both tails of the run out of cfg, compare measured vs predicted.
 
     The scaling window (c_lo, c_hi) is where the averaged Boltzmann
-    factor is in its power-law regime; the preconditions
-    beta_min * c_hi < 0.1 and beta_max * c_lo > 10 are enforced and a
-    WindowError names whichever fails.  Firms are fit unweighted, the
-    worker side is the same productivity values weighted by accumulated
-    worker counts; measured mu_w is the worker-weighted MLE tail index,
-    and the window-restricted rank-size slope is reported as a
-    diagnostic only.  Pass a precomputed SimOutput for cfg to skip the
-    internal run (the run is deterministic in cfg, so results match).
+    factor is in its power-law regime; an empty window and a violated
+    precondition beta_min * c_hi < 0.1 or beta_max * c_lo > 10 raise a
+    WindowError naming the failure, and c_lo <= 0 a ValueError.  Firms
+    are fit unweighted, the worker side is the same productivity values
+    weighted by accumulated worker counts; measured mu_w is the
+    worker-weighted MLE tail index, and the window-restricted rank-size
+    slope is reported as a diagnostic only.
     """
-    c_lo, c_hi = fit_window
-    if not (0.0 < c_lo < c_hi):
-        raise ValueError("fit_window must satisfy 0 < c_lo < c_hi")
+    c_lo, c_hi = window
+    if not c_lo > 0.0:
+        raise ValueError("fit window must satisfy 0 < c_lo")
+    if not c_lo < c_hi:
+        raise WindowError(
+            f"empty scaling window: c_lo={c_lo:.4g} >= c_hi={c_hi:.4g}")
     w = cfg.beta_weight
     problems = []
     if not w.beta_min * c_hi < _WINDOW_HI_MAX:
@@ -149,7 +139,6 @@ def verify_tail_relation(cfg: SimConfig, fit_window: tuple[float, float],
         raise WindowError(
             f"tail fits need >= {_MIN_TAIL_FIT_FIRMS} firms, got {cfg.n_firms}")
 
-    out = run_sim(cfg) if sim is None else sim
     c = out.firm_productivities
     firm_fit = gb2.fit_mle(np.column_stack([c, np.ones_like(c)]))
     occupied = out.worker_counts > 0
@@ -160,8 +149,7 @@ def verify_tail_relation(cfg: SimConfig, fit_window: tuple[float, float],
     measured = worker_fit.params.mu
     passed = (abs(measured - predicted) <= tolerance
               and measured > firm_fit.params.mu)
-    slope = _window_ranksize_slope(c, out.worker_counts.astype(np.float64),
-                                   c_lo, c_hi)
+    slope = _window_ranksize_slope(c, out.worker_counts, c_lo, c_hi)
     return TailRelationReport(
         mu_f_measured=firm_fit.params.mu, mu_f_stderr=firm_fit.mu_stderr,
         mu_w_measured=measured, mu_w_stderr=worker_fit.mu_stderr,
@@ -174,12 +162,8 @@ def _window_ranksize_slope(c: np.ndarray, weights: np.ndarray,
                            c_lo: float, c_hi: float) -> float:
     """Log-log slope of the weighted rank-size curve inside [c_lo, c_hi]."""
     order = np.argsort(c)[::-1]
-    c_desc = c[order]
-    frac = np.cumsum(weights[order])
-    total = frac[-1]
-    if total <= 0.0:
-        return math.nan
-    frac /= total
+    c_desc, frac = c[order], np.cumsum(weights[order])
+    frac = frac / frac[-1]      # weights are worker counts, total >= 1
     mask = (c_desc >= c_lo) & (c_desc <= c_hi) & (frac > 0.0)
     if np.count_nonzero(mask) < 5:
         return math.nan
@@ -187,64 +171,78 @@ def _window_ranksize_slope(c: np.ndarray, weights: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# scenario files and outputs
-
-_SCENARIO_INT_KEYS = ("n_firms", "n_workers_per_epoch", "n_epochs", "seed")
-_SCENARIO_FLOAT_KEYS = ("firm_mu", "firm_nu", "firm_q", "firm_c1",
-                        "gamma", "beta_min", "beta_max",
-                        "fit_window_lo", "fit_window_hi", "tolerance")
-_SCENARIO_BOOL_KEYS = ("verify",)
+# scenario files
 
 
-def parse_scenario(path) -> dict:
+def _true_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _positive(text: str) -> float:
+    if not float(text) > 0.0:
+        raise ValueError(f"must be > 0, got {text!r}")
+    return float(text)
+
+
+# scenario key -> parser of its value
+_SCENARIO_KEYS = {
+    "n_firms": int, "n_workers_per_epoch": int, "n_epochs": int, "seed": int,
+    "firm_mu": float, "firm_nu": float, "firm_q": float, "firm_c1": float,
+    "gamma": float, "beta_min": float, "beta_max": float,
+    "fit_window_lo": _positive, "fit_window_hi": _positive,
+    "tolerance": float, "verify": _true_false}
+_OPTIONAL_KEYS = ("fit_window_lo", "fit_window_hi", "tolerance", "verify")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    config: SimConfig
+    window: tuple[float, float]    # (c_lo, c_hi) of verify_tail_relation
+    tolerance: float
+    verify: bool
+
+
+def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
+                   ) -> Scenario:
     """Flat key = value scenario format, # comments, blank lines allowed.
 
-    Keys mirror SimConfig: n_firms, n_workers_per_epoch, n_epochs, seed,
-    plus the flattened parameter groups firm_mu/firm_nu/firm_q/firm_c1
-    and gamma/beta_min/beta_max.  Optional keys: fit_window_lo,
-    fit_window_hi, tolerance, verify.
+    Keys mirror SimConfig: n_firms, n_workers_per_epoch, n_epochs, seed
+    (default_seed() is called for a scenario without one), firm_mu/nu/q/c1
+    and gamma/beta_min/beta_max.  Optional: fit_window_lo and _hi (> 0;
+    by default the widest window the beta range admits, narrowed by
+    0.1%), tolerance, verify.  A malformed line, an unknown or repeated
+    key and a bad value raise ValueError naming path:line and the key.
     """
-    values: dict = {}
+    v: dict = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key in _SCENARIO_INT_KEYS:
-            values[key] = int(val)
-        elif key in _SCENARIO_FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _SCENARIO_BOOL_KEYS:
-            if val.lower() not in ("true", "false"):
-                raise ValueError(f"{path}:{line_no}: {key} must be true/false")
-            values[key] = val.lower() == "true"
-        else:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-    return values
+        if key not in _SCENARIO_KEYS or key in v:
+            what = "repeated" if key in v else "unknown"
+            raise ValueError(f"{path}:{line_no}: {what} key {key!r}")
+        try:
+            v[key] = _SCENARIO_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
 
-
-def scenario_config(values: dict, default_seed: int | None = None) -> SimConfig:
-    """Build a SimConfig from parsed scenario values; the seed may come
-    from the scenario or the supplied default."""
-    seed = values.get("seed", default_seed)
-    if seed is None:
-        raise ValueError("scenario needs a seed (key 'seed' or a default)")
-    required = ("n_firms", "n_workers_per_epoch", "n_epochs",
-                "firm_mu", "firm_nu", "firm_q", "firm_c1",
-                "gamma", "beta_min", "beta_max")
-    missing = [k for k in required if k not in values]
+    if "seed" not in v and default_seed is not None:
+        v["seed"] = default_seed()
+    missing = [k for k in _SCENARIO_KEYS
+               if v.get(k) is None and k not in _OPTIONAL_KEYS]
     if missing:
-        raise ValueError(f"scenario missing keys: {', '.join(missing)}")
-    return SimConfig(
-        n_firms=values["n_firms"],
-        n_workers_per_epoch=values["n_workers_per_epoch"],
-        n_epochs=values["n_epochs"],
-        firm_params=gb2.Gb2Params(values["firm_mu"], values["firm_nu"],
-                                  values["firm_q"], values["firm_c1"]),
-        beta_weight=BetaWeight(values["gamma"], values["beta_min"],
-                               values["beta_max"]),
-        seed=int(seed))
+        raise ValueError(
+            f"{path}: scenario missing keys: {', '.join(missing)}")
+    w = BetaWeight(v["gamma"], v["beta_min"], v["beta_max"])
+    firm = gb2.Gb2Params(v["firm_mu"], v["firm_nu"], v["firm_q"], v["firm_c1"])
+    config = SimConfig(v["n_firms"], v["n_workers_per_epoch"], v["n_epochs"],
+                       firm, w, v["seed"])
+    window = (v.get("fit_window_lo", _WINDOW_LO_MIN / w.beta_max * 1.001),
+              v.get("fit_window_hi", _WINDOW_HI_MAX / w.beta_min * 0.999))
+    return Scenario(config, window, v.get("tolerance", _TOLERANCE),
+                    v.get("verify", True))

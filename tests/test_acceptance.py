@@ -20,7 +20,7 @@ from scipy import integrate, stats
 from panelgen import write_panel, write_sector_panel
 from prodstat import gb2, ingest, thermo
 from prodstat.cli import main
-from prodstat.simulate import SimConfig, verify_tail_relation
+from prodstat.simulate import SimConfig, run_sim, verify_tail_relation
 from prodstat.superstat import (BetaWeight, ParetoIndices, delta_from_gamma,
                                 gamma_from_mus, kappa_from_mus,
                                 mu_w_predicted)
@@ -152,7 +152,8 @@ def test_a4_tail_relation(capsys):
                         beta_weight=BetaWeight(0.5, 1e-4, 2.0),
                         n_firms=20_000, n_workers_per_epoch=2500,
                         n_epochs=4000, seed=11)
-        rep = verify_tail_relation(cfg, (6.0, 900.0), tolerance=0.15)
+        rep = verify_tail_relation(cfg, run_sim(cfg), (6.0, 900.0),
+                                   tolerance=0.15)
         dev = abs(rep.mu_w_measured - rep.mu_w_predicted)
         ok = ok and dev <= 0.15 and rep.mu_w_measured > rep.mu_f_measured
         lines.append(f"mu_f={mu_f}: mu_w {rep.mu_w_measured:.3f} vs "
@@ -184,18 +185,25 @@ def test_a5_thermodynamics(capsys):
 
     worst_lo = 0.0
     worst_hi = 0.0
+    # the CLI's large-beta bound: D - floor tends to a / beta from below,
+    # a = low_exp, at a beta set by the model's own scale and rate
+    asym = []
     for m in (expo, g):
         worst_lo = max(worst_lo, abs(thermo.demand(m, 1e-9) / m.mean0 - 1.0))
         worst_hi = max(worst_hi, thermo.demand(m, 1e4) / m.mean0)
+        beta_hi = 1e4 * (max(m.low_exp, 1.0) / m.scale + m.rate)
+        asym.append((thermo.demand(m, beta_hi) - m.floor) * beta_hi / m.low_exp)
+    asym_ok = all(0.9 <= r <= 1.0 + 1e-9 for r in asym)
 
     dt = time.monotonic() - t0
     ok = (worst_cf <= 1e-9 and mono_e.all_passed and mono_g.all_passed
-          and worst_lo <= 1e-6 and worst_hi < 1e-3 and dt < 60.0)
+          and worst_lo <= 1e-6 and worst_hi < 1e-3 and asym_ok and dt < 60.0)
     _verdict(capsys, "5 thermo", ok,
              f"closed form {worst_cf:.2e} (<=1e-9), monotone "
              f"{mono_e.all_passed}/{mono_g.all_passed}, low dev "
              f"{worst_lo:.2e}, high ratio {worst_hi:.2e} (<1e-3), "
-             f"{dt:.1f}s (<60s)")
+             f"(D - floor) beta / a {asym[0]:.6f}/{asym[1]:.6f} "
+             f"(in [0.9, 1]), {dt:.1f}s (<60s)")
 
 
 # ---------------------------------------------------------------------------

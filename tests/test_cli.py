@@ -296,6 +296,43 @@ def test_simulate_seed_from_environment(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "run_noseed")]) == 1
 
 
+def test_simulate_bad_seed_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PRODSTAT_SEED", "abc")
+    # a scenario with its own seed never reads the variable
+    scenario = _scenario(tmp_path, verify="false")
+    assert main(["simulate", "--scenario", scenario,
+                 "--out-dir", str(tmp_path / "seeded")]) == 0
+    text = "".join(ln + "\n" for ln in open(scenario).read().splitlines()
+                   if not ln.startswith("seed"))
+    open(scenario, "w").write(text)
+    out_dir = tmp_path / "unseeded"
+    assert main(["simulate", "--scenario", scenario,
+                 "--out-dir", str(out_dir)]) == 1
+    assert "PRODSTAT_SEED" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# _scenario writes 13 lines: n_firms first, fit_window_lo twelfth
+@pytest.mark.parametrize("key,value,line,message", [
+    ("n_epochs", "5", 14, "repeated key 'n_epochs'"),      # appended
+    ("n_firms", "1.5e3", 1, "n_firms: invalid literal for int()"),
+    ("fit_window_lo", "-1", 12, "fit_window_lo: must be > 0"),
+])
+def test_simulate_bad_scenario_line_exits_one_before_output(
+        tmp_path, capsys, key, value, line, message):
+    if line == 14:
+        scenario = _scenario(tmp_path)
+        with open(scenario, "a") as fh:
+            fh.write(f"{key} = {value}\n")
+    else:
+        scenario = _scenario(tmp_path, **{key: value})
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", scenario,
+                 "--out-dir", str(out_dir)]) == 1
+    assert f"{scenario}:{line}: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_simulate_skip_verify(tmp_path):
     scenario = _scenario(tmp_path, verify="false")
     out_dir = tmp_path / "run2"
@@ -436,12 +473,27 @@ def test_thermo_single_regime_point_is_paired(tmp_path):
 def test_thermo_bad_model_exit_one(capsys):
     assert main(["thermo", "--model", "cauchy:mean=1"]) == 1
     assert main(["thermo", "--model", "gb2:mu=2.5"]) == 1
+    # keys the kind does not have, and repeated keys, are errors too
+    for spec, keys in (("tail:mu=1.5,c0=1.0,c1=7,q=3", "mu, c0"),
+                       ("exponential:mean=1.0,mean=5", "mean"),
+                       ("gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0,mu=3", "mu, nu, q, c1")):
+        assert main(["thermo", "--model", spec]) == 1
+        assert f"wants each of {keys} once" in capsys.readouterr().err
     assert main(["thermo", "--model", "exponential:mean=1",
                  "--beta-grid", "banana"]) == 1
     for grid in ("1e-3:inf:5", "1e-3:1e400:5"):
         assert main(["thermo", "--model", "exponential:mean=1.0",
                      "--beta-grid", grid]) == 1
         assert "--beta-grid wants finite" in capsys.readouterr().err
+
+
+def test_thermo_model_help_lists_each_kind(capsys):
+    with pytest.raises(SystemExit):
+        main(["thermo", "--help"])
+    help_text = capsys.readouterr().out
+    for spec in ("exponential:mean=V", "gb2:mu=V,nu=V,q=V,c1=V",
+                 "tail:mu=V,c0=V"):
+        assert spec in help_text
 
 
 def test_ranksize_points(super_panel, tmp_path):
