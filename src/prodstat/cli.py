@@ -8,6 +8,8 @@ simulate  run a scenario file, write outputs, check the tail relation
 thermo    partition-function checks for a model spec
 ranksize  empirical rank-size points, optionally with a fitted curve
 
+A subcommand writes what the library returns; every check and pass rule
+is the library's (simulate.check_window, thermo.check_model, ...).
 Every output embeds a run manifest (command, input paths, filter
 config, seed, tool version, timestamp).  JSON outputs write result
 dataclasses as they are: the ``fit`` object carries every field of
@@ -39,9 +41,6 @@ from .errors import (EmptyYear, InsufficientData, SchemaError,
 from .superstat import ParetoIndices, Regime, kappa_from_mus
 
 _ENV_SEED = "PRODSTAT_SEED"
-_ORDER_TOL = 0.5       # allowed |observed / predicted - 1| expansion error order
-# D/mean0 and Z noise bound: 1000x the quadrature target, 1e-9
-_ORDER_FLOOR = 1e3 * thermo.QUAD_EPSREL
 
 
 class _UsageError(Exception):
@@ -255,9 +254,9 @@ def _cmd_index(args) -> int:
 def _env_seed() -> int | None:
     text = os.environ.get(_ENV_SEED)
     try:
-        return None if text is None else int(text)
+        return None if text is None else simulate.parse_seed(text)
     except ValueError:
-        raise _UsageError(f"{_ENV_SEED} must be an integer, got {text!r}") from None
+        raise _UsageError(f"{_ENV_SEED} must be an integer >= 0, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -266,6 +265,15 @@ def _cmd_simulate(args) -> int:
     manifest = _manifest("simulate", inputs=[args.scenario], seed=cfg.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    report_path = os.path.join(args.out_dir, "report.json")
+    if scenario.verify:
+        try:
+            simulate.check_window(cfg, scenario.window)
+        except WindowError as exc:
+            _write_json(report_path, {"manifest": manifest, "passed": False,
+                                      "window_error": str(exc)})
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 4
     out = simulate.run_sim(cfg)
     _write_tsv(os.path.join(args.out_dir, "firms.tsv"), manifest,
                ["firm_id", "c_k", "n_k"],
@@ -280,16 +288,8 @@ def _cmd_simulate(args) -> int:
 
     if not scenario.verify:
         return 0
-    report_path = os.path.join(args.out_dir, "report.json")
-    try:
-        report = simulate.verify_tail_relation(cfg, out, scenario.window,
-                                               scenario.tolerance)
-    except WindowError as exc:
-        _write_json(report_path, {"manifest": manifest,
-                                  "window_error": str(exc),
-                                  "passed": False})
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 4
+    report = simulate.verify_tail_relation(cfg, out, scenario.window,
+                                           scenario.tolerance)
     _write_json(report_path, {"manifest": manifest, **vars(report)})
     return 0 if report.passed else 4
 
@@ -320,7 +320,7 @@ def _parse_model(spec: str) -> thermo.ThermoModel:
     values = {key.strip(): val for key, _, val in items}
     try:
         return make(*(float(values[key]) for key in keys))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _UsageError(f"bad model spec {spec!r}: {exc}") from None
 
 
@@ -336,90 +336,14 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _deficit_errors(model: thermo.ThermoModel, beta: float):
-    """Relative errors of the expansions' demand deficit mean0 - D and
-    partition deficit 1 - Z at beta, and for each the error below which
-    quadrature noise in the deficit dominates it."""
-    d_def = model.mean0 - thermo.demand(model, beta)
-    z_def = 1.0 - thermo.partition(model, beta)
-    errs = (abs((model.mean0 - thermo.demand_expansion(model, beta)) / d_def - 1.0),
-            abs((1.0 - thermo.partition_expansion(model, beta)) / z_def - 1.0))
-    return errs, (_ORDER_FLOOR * model.mean0 / d_def, _ORDER_FLOOR / z_def)
-
-
-def _check_expansion(model: thermo.ThermoModel, grid: np.ndarray) -> dict:
-    """Check the small-beta expansions at up to three grid points with
-    c0*beta < 0.01: over each step from the previous point, the observed
-    log-log slope of each relative deficit error must be within a
-    fraction _ORDER_TOL of the order thermo.expansion_error_orders
-    predicts.  A wrong expansion coefficient leaves an error that does
-    not shrink.  One point in the regime is paired with half its beta."""
-    small = [float(b) for b in grid if model.c0 * b < 0.01][:3]
-    if not small:
-        return {"checked": False}
-    if len(small) == 1:
-        small.insert(0, 0.5 * small[0])
-    points = []
-    prev = None
-    for beta in small:
-        errs, floors = _deficit_errors(model, beta)
-        point = {"beta": beta, "demand_deficit_rel_err": errs[0],
-                 "partition_deficit_rel_err": errs[1], "passed": True}
-        if prev is not None:
-            p_beta, p_errs, p_floors = prev
-            predicted = thermo.expansion_error_orders(
-                model, model.c0 * math.sqrt(p_beta * beta))
-            for i, name in enumerate(("demand", "partition")):
-                order = None
-                if errs[i] > floors[i] and p_errs[i] > p_floors[i]:
-                    order = math.log(errs[i] / p_errs[i]) / math.log(beta / p_beta)
-                    point["passed"] &= abs(order / predicted[i] - 1.0) <= _ORDER_TOL
-                point[f"{name}_order"] = order
-                point[f"{name}_order_predicted"] = predicted[i]
-        points.append(point)
-        prev = (beta, errs, floors)
-    return {"checked": True, "order_tolerance": _ORDER_TOL, "points": points}
-
-
 def _cmd_thermo(args) -> int:
     model = _parse_model(args.model)
     grid = _parse_beta_grid(args.beta_grid)
-    manifest = _manifest("thermo", inputs=[],
-                         filters={"model": args.model,
-                                  "beta_grid": args.beta_grid})
-
-    mono = thermo.check_monotonicity(model, grid)
-
-    # the relative demand deficit is O((c0 beta)^e), e = min(mu_f - 1, 1):
-    # beta_lo brings it to about 1e-3 where e < 1/3
-    e = min(model.mu_f - 1.0, 1.0)
-    beta_lo = 1e-9 ** max(1.0, 1.0 / (3.0 * e)) / model.c0
-    # with a = low_exp, p(floor + u) / u^(a - 1) does not increase in u, so
-    # the tilted law lies below Gamma(a, beta) and D - floor <= a / beta,
-    # with the ratio tending to 1 as beta -> inf
-    a = model.low_exp
-    beta_hi = 1e4 * (max(a, 1.0) / model.scale + model.rate)
-    d_lo = thermo.demand(model, beta_lo)
-    d_hi = thermo.demand(model, beta_hi)
-    low_ok = abs(d_lo / model.mean0 - 1.0) <= 1e-2
-    high_ok = 0.9 <= (d_hi - model.floor) * beta_hi / a <= 1.0 + 1e-9
-
-    expansion = _check_expansion(model, grid)
-    exp_ok = all(p["passed"] for p in expansion.get("points", ()))
-
-    passed = bool(mono.all_passed and low_ok and high_ok and exp_ok)
-    payload = {"manifest": manifest,
-               "model": {"mu_f": model.mu_f, "c0": model.c0,
-                         "mean0": model.mean0, "m2": model.m2},
-               "monotonicity": mono,
-               "limits": {"beta_lo": beta_lo, "beta_hi": beta_hi,
-                          "demand_at_beta_lo": d_lo,
-                          "demand_at_beta_hi": d_hi,
-                          "low_ok": low_ok, "high_ok": high_ok},
-               "expansion": expansion,
-               "passed": passed}
-    _write_json(args.out, payload)
-    return 0 if passed else 4
+    manifest = _manifest("thermo", filters={"model": args.model,
+                                            "beta_grid": args.beta_grid})
+    report = thermo.check_model(model, grid)
+    _write_json(args.out, {"manifest": manifest, **report})
+    return 0 if report["passed"] else 4
 
 
 # ---------------------------------------------------------------------------

@@ -105,20 +105,12 @@ class TailRelationReport:
     worker_fit: gb2.FitResult
 
 
-def verify_tail_relation(cfg: SimConfig, out: SimOutput,
-                         window: tuple[float, float],
-                         tolerance: float = _TOLERANCE) -> TailRelationReport:
-    """Fit both tails of the run out of cfg, compare measured vs predicted.
-
-    The scaling window (c_lo, c_hi) is where the averaged Boltzmann
-    factor is in its power-law regime; an empty window and a violated
-    precondition beta_min * c_hi < 0.1 or beta_max * c_lo > 10 raise a
-    WindowError naming the failure, and c_lo <= 0 a ValueError.  Firms
-    are fit unweighted, the worker side is the same productivity values
-    weighted by accumulated worker counts; measured mu_w is the
-    worker-weighted MLE tail index, and the window-restricted rank-size
-    slope is reported as a diagnostic only.
-    """
+def check_window(cfg: SimConfig, window: tuple[float, float]) -> None:
+    """Check what verify_tail_relation needs of cfg and the scaling window
+    (c_lo, c_hi) before any run: an empty window, a violated precondition
+    beta_min * c_hi < 0.1 or beta_max * c_lo > 10 and fewer than 1000
+    firms raise a WindowError naming the failure, and c_lo <= 0 a
+    ValueError."""
     c_lo, c_hi = window
     if not c_lo > 0.0:
         raise ValueError("fit window must satisfy 0 < c_lo")
@@ -139,6 +131,22 @@ def verify_tail_relation(cfg: SimConfig, out: SimOutput,
         raise WindowError(
             f"tail fits need >= {_MIN_TAIL_FIT_FIRMS} firms, got {cfg.n_firms}")
 
+
+def verify_tail_relation(cfg: SimConfig, out: SimOutput,
+                         window: tuple[float, float],
+                         tolerance: float = _TOLERANCE) -> TailRelationReport:
+    """Fit both tails of the run out of cfg, compare measured vs predicted.
+
+    The scaling window (c_lo, c_hi) is where the averaged Boltzmann
+    factor is in its power-law regime; check_window(cfg, window) runs
+    first and raises as it does.  Firms are fit unweighted, the worker
+    side is the same productivity values weighted by accumulated worker
+    counts; measured mu_w is the worker-weighted MLE tail index, and the
+    window-restricted rank-size slope is reported as a diagnostic only.
+    """
+    check_window(cfg, window)
+    c_lo, c_hi = window
+    w = cfg.beta_weight
     c = out.firm_productivities
     firm_fit = gb2.fit_mle(np.column_stack([c, np.ones_like(c)]))
     occupied = out.worker_counts > 0
@@ -180,6 +188,13 @@ def _true_false(text: str) -> bool:
     return text.lower() == "true"
 
 
+def parse_seed(text: str) -> int:
+    """A seed of numpy's seed tree: an integer >= 0."""
+    if not int(text) >= 0:
+        raise ValueError(f"must be >= 0, got {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> float:
     if not float(text) > 0.0:
         raise ValueError(f"must be > 0, got {text!r}")
@@ -188,7 +203,8 @@ def _positive(text: str) -> float:
 
 # scenario key -> parser of its value
 _SCENARIO_KEYS = {
-    "n_firms": int, "n_workers_per_epoch": int, "n_epochs": int, "seed": int,
+    "n_firms": int, "n_workers_per_epoch": int, "n_epochs": int,
+    "seed": parse_seed,
     "firm_mu": float, "firm_nu": float, "firm_q": float, "firm_c1": float,
     "gamma": float, "beta_min": float, "beta_max": float,
     "fit_window_lo": _positive, "fit_window_hi": _positive,
@@ -209,10 +225,10 @@ def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
     """Flat key = value scenario format, # comments, blank lines allowed.
 
     Keys mirror SimConfig: n_firms, n_workers_per_epoch, n_epochs, seed
-    (default_seed() is called for a scenario without one), firm_mu/nu/q/c1
-    and gamma/beta_min/beta_max.  Optional: fit_window_lo and _hi (> 0;
-    by default the widest window the beta range admits, narrowed by
-    0.1%), tolerance, verify.  A malformed line, an unknown or repeated
+    (>= 0; default_seed() is called for a scenario without one),
+    firm_mu/nu/q/c1 and gamma/beta_min/beta_max.  Optional:
+    fit_window_lo and _hi (> 0; by default the widest window the beta
+    range admits, narrowed by 0.1%), tolerance, verify.  A malformed line, an unknown or repeated
     key and a bad value raise ValueError naming path:line and the key.
     """
     v: dict = {}

@@ -10,6 +10,8 @@ c0 (upper-tail cdf ~ (c/c0)^-mu_f), this module computes
 by quadrature (closed forms at beta = 0), plus the three-branch
 small-beta expansions of Z and D and a monotonicity check of the
 demand-temperature relation dD/dT = beta^2 Var_beta(c) >= 0, T = 1/beta.
+check_model runs that check, the demand limits and the expansions'
+error orders, and returns the report the `prodstat thermo` job writes.
 
 Quadrature strategy: in x = ln(c - floor), with floor the lower end of
 the support, c^n e^{-beta c} p(c) is smooth and decays at both ends, so
@@ -43,6 +45,9 @@ _EXPANSION_GUARD = 0.1     # expansions refuse c0 * beta at or above this
 _BRANCH_TOL = 1e-6         # |mu_f - 2| below this selects the log branch
 _FD_STEP = 1e-4            # relative step of the demand finite difference
 _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
+_ORDER_TOL = 0.5           # allowed |observed / predicted - 1| error order
+# D/mean0 and Z noise bound: 1000x the quadrature target, 1e-9
+_ORDER_FLOOR = 1e3 * QUAD_EPSREL
 
 
 @dataclass(frozen=True)
@@ -368,3 +373,80 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
         prev_demand = d_mid
     return MonotonicityReport(points=tuple(points),
                               all_passed=all(p.passed for p in points))
+
+
+# ---------------------------------------------------------------------------
+# model check
+
+
+def _check_expansion(m: ThermoModel, grid) -> dict:
+    """Check the small-beta expansions at up to three grid points with
+    c0*beta < 0.01: over each step from the previous point, the observed
+    log-log slope of each relative error of the demand deficit mean0 - D
+    and the partition deficit 1 - Z must be within a fraction _ORDER_TOL
+    of the order expansion_error_orders predicts, unless quadrature noise
+    in a deficit dominates its error.  A wrong expansion coefficient
+    leaves an error that does not shrink.  One point in the regime is
+    paired with half its beta."""
+    small = [float(b) for b in grid if m.c0 * b < 0.01][:3]
+    if not small:
+        return {"checked": False}
+    if len(small) == 1:
+        small.insert(0, 0.5 * small[0])
+    points = []
+    prev = None
+    for beta in small:
+        d_def = m.mean0 - demand(m, beta)
+        z_def = 1.0 - partition(m, beta)
+        errs = (abs((m.mean0 - demand_expansion(m, beta)) / d_def - 1.0),
+                abs((1.0 - partition_expansion(m, beta)) / z_def - 1.0))
+        floors = (_ORDER_FLOOR * m.mean0 / d_def, _ORDER_FLOOR / z_def)
+        point = {"beta": beta, "demand_deficit_rel_err": errs[0],
+                 "partition_deficit_rel_err": errs[1], "passed": True}
+        if prev is not None:
+            p_beta, p_errs, p_floors = prev
+            predicted = expansion_error_orders(
+                m, m.c0 * math.sqrt(p_beta * beta))
+            for i, name in enumerate(("demand", "partition")):
+                order = None
+                if errs[i] > floors[i] and p_errs[i] > p_floors[i]:
+                    order = math.log(errs[i] / p_errs[i]) / math.log(beta / p_beta)
+                    point["passed"] &= abs(order / predicted[i] - 1.0) <= _ORDER_TOL
+                point[f"{name}_order"] = order
+                point[f"{name}_order_predicted"] = predicted[i]
+        points.append(point)
+        prev = (beta, errs, floors)
+    return {"checked": True, "order_tolerance": _ORDER_TOL, "points": points}
+
+
+def check_model(m: ThermoModel, beta_grid) -> dict:
+    """The thermo report of m: check_monotonicity on beta_grid, the
+    demand limits at a small and a large beta set by m, and the
+    expansion check; "passed" when all three hold."""
+    mono = check_monotonicity(m, beta_grid)
+
+    # the relative demand deficit is O((c0 beta)^e), e = min(mu_f - 1, 1):
+    # beta_lo brings it to about 1e-3 where e < 1/3
+    e = min(m.mu_f - 1.0, 1.0)
+    beta_lo = 1e-9 ** max(1.0, 1.0 / (3.0 * e)) / m.c0
+    # with a = low_exp, p(floor + u) / u^(a - 1) does not increase in u, so
+    # the tilted law lies below Gamma(a, beta) and D - floor <= a / beta,
+    # with the ratio tending to 1 as beta -> inf
+    a = m.low_exp
+    beta_hi = 1e4 * (max(a, 1.0) / m.scale + m.rate)
+    d_lo = demand(m, beta_lo)
+    d_hi = demand(m, beta_hi)
+    low_ok = abs(d_lo / m.mean0 - 1.0) <= 1e-2
+    high_ok = 0.9 <= (d_hi - m.floor) * beta_hi / a <= 1.0 + 1e-9
+
+    expansion = _check_expansion(m, beta_grid)
+    exp_ok = all(p["passed"] for p in expansion.get("points", ()))
+
+    passed = bool(mono.all_passed and low_ok and high_ok and exp_ok)
+    return {"model": {"mu_f": m.mu_f, "c0": m.c0, "mean0": m.mean0, "m2": m.m2},
+            "monotonicity": mono,
+            "limits": {"beta_lo": beta_lo, "beta_hi": beta_hi,
+                       "demand_at_beta_lo": d_lo, "demand_at_beta_hi": d_hi,
+                       "low_ok": low_ok, "high_ok": high_ok},
+            "expansion": expansion,
+            "passed": passed}

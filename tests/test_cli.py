@@ -3,6 +3,9 @@ formats, and consistency between subcommands."""
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,9 +275,23 @@ def test_simulate_degenerate_window_exit_four(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["passed"] is False
     assert "window" in report["window_error"]
-    # the simulation artifacts are still written
-    assert (out_dir / "firms.tsv").exists()
+    # the window is checked before the run, so nothing else is written
+    assert not (out_dir / "firms.tsv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"fit_window_hi": 2000.0}, "beta_min * c_hi = 0.2 >= 0.1"),
+    ({"n_firms": 900}, "tail fits need >= 1000 firms, got 900")])
+def test_simulate_window_checked_before_run(tmp_path, capsys, overrides,
+                                            message):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", _scenario(tmp_path, **overrides),
+                 "--out-dir", str(out_dir)]) == 4
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["passed"] is False and message in report["window_error"]
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_seed_from_environment(tmp_path, monkeypatch):
@@ -306,17 +323,22 @@ def test_simulate_bad_seed_environment(tmp_path, monkeypatch, capsys):
                    if not ln.startswith("seed"))
     open(scenario, "w").write(text)
     out_dir = tmp_path / "unseeded"
-    assert main(["simulate", "--scenario", scenario,
-                 "--out-dir", str(out_dir)]) == 1
-    assert "PRODSTAT_SEED" in capsys.readouterr().err
-    assert not out_dir.exists()
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("PRODSTAT_SEED", value)
+        assert main(["simulate", "--scenario", scenario,
+                     "--out-dir", str(out_dir)]) == 1
+        assert (f"PRODSTAT_SEED must be an integer >= 0, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
 
 
-# _scenario writes 13 lines: n_firms first, fit_window_lo twelfth
+# _scenario writes 13 lines: n_firms first, seed fourth, fit_window_lo
+# twelfth
 @pytest.mark.parametrize("key,value,line,message", [
     ("n_epochs", "5", 14, "repeated key 'n_epochs'"),      # appended
     ("n_firms", "1.5e3", 1, "n_firms: invalid literal for int()"),
     ("fit_window_lo", "-1", 12, "fit_window_lo: must be > 0"),
+    ("seed", "-1", 4, "seed: must be >= 0, got '-1'"),
 ])
 def test_simulate_bad_scenario_line_exits_one_before_output(
         tmp_path, capsys, key, value, line, message):
@@ -479,12 +501,31 @@ def test_thermo_bad_model_exit_one(capsys):
                        ("gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0,mu=3", "mu, nu, q, c1")):
         assert main(["thermo", "--model", spec]) == 1
         assert f"wants each of {keys} once" in capsys.readouterr().err
+    # closed-form constants that overflow a float
+    for spec in ("exponential:mean=1e300", "gb2:mu=2.5,nu=0.8,q=1.2,c1=1e200",
+                 "gb2:mu=2.5,nu=0.8,q=1e-3,c1=1"):
+        assert main(["thermo", "--model", spec]) == 1
+        assert f"bad model spec {spec!r}" in capsys.readouterr().err
     assert main(["thermo", "--model", "exponential:mean=1",
                  "--beta-grid", "banana"]) == 1
     for grid in ("1e-3:inf:5", "1e-3:1e400:5"):
         assert main(["thermo", "--model", "exponential:mean=1.0",
                      "--beta-grid", grid]) == 1
         assert "--beta-grid wants finite" in capsys.readouterr().err
+
+
+def test_readme_thermo_invocations_pass(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines()
+             if line.startswith("prodstat thermo ")]
+    assert len(lines) == 3
+    for i, line in enumerate(lines):
+        argv = shlex.split(line)[1:]
+        out = tmp_path / f"readme{i}.json"
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0, line
+        assert json.loads(out.read_text())["passed"] is True
 
 
 def test_thermo_model_help_lists_each_kind(capsys):

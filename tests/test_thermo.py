@@ -2,12 +2,14 @@
 dD/dT >= 0 monotonicity check.  Reference values computed with mpmath
 at 40-digit precision."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from prodstat import gb2, thermo
+from prodstat import cli, gb2, thermo
 from prodstat.errors import DivergentMoment, OutOfRegime
 from prodstat.thermo import ThermoModel
 
@@ -363,6 +365,30 @@ def test_demand_below_gamma_bound_tight_at_large_beta():
                   for b in unit * np.geomspace(1e-3, 1e4, 8)]
         assert all(r <= 1.0 + 1e-12 for r in ratios)
         assert ratios[-1] > 0.9
+
+
+# the README's thermo models, as CLI spec and as library model
+README_MODELS = [
+    ("exponential:mean=1.0", ThermoModel.exponential(1.0)),
+    ("gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0",
+     ThermoModel.from_gb2(gb2.Gb2Params(2.5, 0.8, 1.2, 2.0))),
+    ("tail:mu=1.5,c0=1.0", ThermoModel.tabulated_tail(1.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec,m", README_MODELS,
+                         ids=[spec for spec, _ in README_MODELS])
+def test_check_model_is_the_cli_report(spec, m, tmp_path):
+    report = thermo.check_model(m, np.geomspace(1e-3, 1e3, 50))
+    assert report["passed"] is True
+    out = tmp_path / "t.json"
+    assert cli.main(["thermo", "--model", spec, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    del payload["manifest"]
+    assert json.loads(json.dumps(cli._json_safe(report))) == payload
+    wrong = dataclasses.replace(m, low_exp=2.0 * m.low_exp)
+    limits = thermo.check_model(wrong, np.geomspace(1e-3, 1e3, 50))["limits"]
+    assert limits["high_ok"] is False
 
 
 def test_model_validation():
