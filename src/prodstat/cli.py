@@ -136,13 +136,9 @@ def _fmt_cell(v) -> str:
 # slicing helpers
 
 
-def _filters_from_args(args) -> ingest.FilterConfig:
-    return ingest.FilterConfig(min_workers=args.min_workers,
-                               max_productivity=args.max_productivity)
-
-
 def _load_build(args):
-    filters = _filters_from_args(args)
+    filters = ingest.FilterConfig(min_workers=args.min_workers,
+                                  max_productivity=args.max_productivity)
     load = ingest.load_csv(args.input)
     return load, ingest.build_samples(load.records, filters)
 
@@ -154,10 +150,9 @@ def _slice_samples(samples: np.ndarray, year: int, class_flag: str) -> np.ndarra
     return samples[mask]
 
 
-def _pairs(samples: np.ndarray, target: str) -> np.ndarray:
-    weights = (np.ones(len(samples)) if target == "firms"
-               else samples["weight_workers"])
-    return np.column_stack((samples["c"], weights))
+def _weights(samples: np.ndarray, target: str) -> np.ndarray | None:
+    """--target's fit weights: None (unit) for firms, workforce for workers."""
+    return samples["weight_workers"] if target == "workers" else None
 
 
 def _exclusion_summary(load, build) -> dict:
@@ -178,7 +173,7 @@ def _cmd_fit(args) -> int:
     samples = _slice_samples(build.samples, args.year, args.klass)
     manifest = _panel_manifest("fit", args, year=args.year,
                                target=args.target)
-    result = gb2.fit_mle(_pairs(samples, args.target))
+    result = gb2.fit_mle(samples["c"], _weights(samples, args.target))
     payload = {"manifest": manifest, "fit": result,
                "n_samples_in_slice": len(samples),
                "exclusions": _exclusion_summary(load, build)}
@@ -218,8 +213,8 @@ def _cmd_index(args) -> int:
     for year in years:
         samples = _slice_samples(build.samples, year, args.klass)
         try:
-            firm_fit = gb2.fit_mle(_pairs(samples, "firms"))
-            worker_fit = gb2.fit_mle(_pairs(samples, "workers"))
+            firm_fit = gb2.fit_mle(samples["c"])
+            worker_fit = gb2.fit_mle(samples["c"], samples["weight_workers"])
         except InsufficientData as exc:
             series.append({"year": year, "error": str(exc)})
             continue
@@ -320,7 +315,7 @@ def _parse_model(spec: str) -> thermo.ThermoModel:
     values = {key.strip(): val for key, _, val in items}
     try:
         return make(*(float(values[key]) for key in keys))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad model spec {spec!r}: {exc}") from None
 
 
@@ -357,15 +352,14 @@ def _cmd_ranksize(args) -> int:
         raise EmptyYear(f"no samples for year {args.year} class {args.klass}")
     manifest = _panel_manifest("ranksize", args, year=args.year,
                                target=args.target)
-    c_desc, frac = ingest.ranksize(
-        samples["c"],
-        samples["weight_workers"] if args.target == "workers" else None)
+    weights = _weights(samples, args.target)
+    c_desc, frac = ingest.ranksize(samples["c"], weights)
     _write_tsv(args.out_tsv, manifest, ["c", "rank_fraction"],
                zip(c_desc.tolist(), frac.tolist()))
 
     if args.fit:
         try:
-            result = gb2.fit_mle(_pairs(samples, args.target))
+            result = gb2.fit_mle(samples["c"], weights)
         except InsufficientData as exc:
             print(f"ranksize: {exc}; skipping the fitted curve",
                   file=sys.stderr)

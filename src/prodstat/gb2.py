@@ -85,22 +85,23 @@ class FitResult:
             raise ValueError("mu_stderr_hessian must be >= 0")
 
 
+def log_pdf(p: Gb2Params, lc: np.ndarray) -> np.ndarray:
+    """ln p(c) at lc = ln c."""
+    ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
+    t = lc - math.log(p.c1)
+    return (ln_norm - lc + p.nu * t
+            - (p.mu + p.nu) / p.q * kernels.softplus(p.q * t))
+
+
 def pdf(p: Gb2Params, c) -> float | np.ndarray:
     """Density at c >= 0.  Evaluated in log space; pdf(p, 0) = 0."""
     arr = np.asarray(c, dtype=np.float64)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("pdf requires finite c >= 0")
-    ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
     out = np.zeros_like(arr)
     pos = arr > 0
-    if np.any(pos):
-        lc = np.log(arr[pos] / p.c1)
-        logpdf = (ln_norm - np.log(arr[pos]) + p.nu * lc
-                  - (p.mu + p.nu) / p.q * kernels.softplus(p.q * lc))
-        out[pos] = np.exp(logpdf)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out[pos] = np.exp(log_pdf(p, np.log(arr[pos])))
+    return float(out) if arr.ndim == 0 else out
 
 
 def ccdf(p: Gb2Params, c: float) -> float:
@@ -296,8 +297,7 @@ def _tail_index_guess(c_sorted_desc: np.ndarray, w_desc: np.ndarray) -> float:
     rank_frac = np.cumsum(w_desc) / np.sum(w_desc)
     top = rank_frac <= 0.1
     if np.count_nonzero(top) < 10:
-        top = np.zeros_like(top)
-        top[:min(10, len(top))] = True
+        top = np.arange(len(top)) < 10
     x = np.log(c_sorted_desc[top])
     y = np.log(rank_frac[top])
     if len(x) < 2 or np.ptp(x) == 0.0:
@@ -322,22 +322,22 @@ _START_FACTORS = (
 )
 
 
-def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
+def fit_mle(c, weights=None) -> FitResult:
     """Weighted maximum-likelihood GB2 fit.
 
     Parameters
     ----------
-    data : sequence of (c, w) pairs or array of shape (n, 2)
-        Observations c > 0 with weights w > 0.  Use w = 1 for firm fits
-        and w = employee count for worker-weighted fits.
-    init : optional Gb2Params
-        Single starting point; when absent, five deterministic starts
-        are used (rank-size tail slope for mu, weighted median for c1,
-        nu = q = 1, plus four fixed perturbations).
+    c : 1-d array
+        Observations c > 0.
+    weights : optional 1-d array of c's shape
+        Weights w > 0: None (unit weights) for firm fits, employee
+        counts for worker-weighted fits.
 
     A damped-Newton path on the exact score and Hessian runs from each
-    start; the path with the lowest objective wins, converged paths
-    before unconverged ones.  This globalises the fit.
+    of five deterministic starts (rank-size tail slope for mu, weighted
+    median for c1, nu = q = 1, plus four fixed perturbations); the path
+    with the lowest objective wins, converged paths before unconverged
+    ones.  This globalises the fit.
 
     Returns
     -------
@@ -357,18 +357,21 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
 
     Raises
     ------
+    ValueError
+        c not 1-d, weights not of c's shape, or a value not finite and > 0.
     InsufficientData
         Fewer than 100 observations.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("data must be (c, w) pairs")
-    n_obs = arr.shape[0]
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 1:
+        raise ValueError(f"c must be 1-d, weights apart; got shape {c.shape}")
+    w = np.ones_like(c) if weights is None else np.asarray(weights, np.float64)
+    if w.shape != c.shape:
+        raise ValueError(f"weights must have c's shape {c.shape}, got {w.shape}")
+    n_obs = len(c)
     if n_obs < _MIN_OBS:
         raise InsufficientData(
             f"need at least {_MIN_OBS} observations, got {n_obs}")
-    c = arr[:, 0]
-    w = arr[:, 1]
     if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
         raise ValueError("all c must be finite and > 0")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -382,19 +385,15 @@ def fit_mle(data, init: Gb2Params | None = None) -> FitResult:
     w_total = float(np.sum(uw))
     wlc_total = float(uw @ lc)
 
-    if init is not None:
-        starts = [np.log([init.mu, init.nu, init.q, init.c1])]
-    else:
-        mu0 = _tail_index_guess(uc[::-1], uw[::-1])
-        c1_0 = _weighted_median(uc, uw)
-        base = np.log([mu0, 1.0, 1.0, c1_0])
-        starts = [base + np.log(fac) for fac in _START_FACTORS]
+    mu0 = _tail_index_guess(uc[::-1], uw[::-1])
+    c1_0 = _weighted_median(uc, uw)
+    base = np.log([mu0, 1.0, 1.0, c1_0])
+    starts = [base + np.log(fac) for fac in _START_FACTORS]
 
     paths = [_newton(theta0, lc, uw, w_total, wlc_total) for theta0 in starts]
     best = min(paths, key=lambda path: (not path.converged, path.f))
     theta_hat = best.theta
-    lmu, lnu, lq, lc1 = theta_hat
-    params = Gb2Params(math.exp(lmu), math.exp(lnu), math.exp(lq), math.exp(lc1))
+    params = Gb2Params(*(math.exp(t) for t in theta_hat))
 
     mu_stderr, n_boot_ok, n_boot_passes = _bootstrap_mu_stderr(
         theta_hat, lc, inv, w, n_obs)

@@ -148,10 +148,9 @@ def verify_tail_relation(cfg: SimConfig, out: SimOutput,
     c_lo, c_hi = window
     w = cfg.beta_weight
     c = out.firm_productivities
-    firm_fit = gb2.fit_mle(np.column_stack([c, np.ones_like(c)]))
+    firm_fit = gb2.fit_mle(c)
     occupied = out.worker_counts > 0
-    worker_fit = gb2.fit_mle(np.column_stack(
-        [c[occupied], out.worker_counts[occupied].astype(np.float64)]))
+    worker_fit = gb2.fit_mle(c[occupied], out.worker_counts[occupied])
 
     predicted = cfg.firm_params.mu - w.gamma + 1.0
     measured = worker_fit.params.mu

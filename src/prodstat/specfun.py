@@ -1,6 +1,6 @@
 """Special functions for heavy-tail work.
 
-log-gamma, log-beta, the regularized incomplete beta function, and the
+log-beta, the regularized incomplete beta function, and the
 gamma function at negative non-integer arguments.  Each is a validated
 call to the standard library or to scipy.special: the checks here fix
 the domain (ValueError outside it, including near the poles of Gamma),
@@ -16,13 +16,6 @@ import math
 from scipy.special import betainc
 
 _POLE_TOL = 1e-12        # distance to a non-positive integer treated as a pole
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def log_beta(s: float, t: float) -> float:

@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gb2, kernels
+from . import gb2
 from .errors import DivergentMoment, OutOfRegime
-from .specfun import gamma_neg, log_beta
+# log_beta stays bound here: perfbench/tracing.py wraps thermo.log_beta by name
+from .specfun import gamma_neg, log_beta  # noqa: F401
 
 QUAD_EPSREL = 1e-12        # relative error target of every Laplace integral
 _MAX_NODES = 1 << 21       # quad raises rather than evaluate more nodes
@@ -48,6 +49,17 @@ _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
 _ORDER_TOL = 0.5           # allowed |observed / predicted - 1| error order
 # D/mean0 and Z noise bound: 1000x the quadrature target, 1e-9
 _ORDER_FLOOR = 1e3 * QUAD_EPSREL
+
+
+def _normal(name: str, compute: Callable[[], float]) -> float:
+    """compute(), or ValueError naming it unless a normal float > 0."""
+    try:
+        v = compute()
+    except OverflowError:
+        raise ValueError(f"{name} overflows a float") from None
+    if not (math.isfinite(v) and v >= np.finfo(np.float64).tiny):
+        raise ValueError(f"{name} = {v!r} is not a positive normal float")
+    return v
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,8 @@ class ThermoModel:
     in u for any family.  tail_q is the exponent of the GB2 tail's
     (c/c1)^-q correction, inf for the other families.
 
-    Each constructor is the one place that knows its family.
+    Each constructor is the one place that knows its family; it raises
+    ValueError naming c0, mean0 or m2 if that is not a normal float > 0.
     """
 
     mu_f: float
@@ -83,25 +96,20 @@ class ThermoModel:
     tail_q: float
 
     @classmethod
-    def _of(cls, mu_f: float, c0: float, moment0, **terms) -> "ThermoModel":
-        return cls(mu_f=mu_f, c0=c0, mean0=moment0(1),
-                   m2=moment0(2) if mu_f > 2.0 else None, moment0=moment0,
-                   **terms)
+    def _of(cls, mu_f: float, c0: Callable[[], float], moment0,
+            **terms) -> "ThermoModel":
+        return cls(mu_f=mu_f, c0=_normal("c0", c0),
+                   mean0=_normal("mean0", lambda: moment0(1)),
+                   m2=_normal("m2", lambda: moment0(2)) if mu_f > 2.0 else None,
+                   moment0=moment0, **terms)
 
     @classmethod
     def from_gb2(cls, p: gb2.Gb2Params) -> "ThermoModel":
         if p.mu <= 1.0:
             raise ValueError("mean diverges for mu <= 1; no thermodynamics")
-        ln_norm = math.log(p.q) - log_beta(p.mu / p.q, p.nu / p.q)
-        ln_c1 = math.log(p.c1)
-
-        def ln_p(c, lc):
-            t = lc - ln_c1
-            return (ln_norm - lc + p.nu * t
-                    - (p.mu + p.nu) / p.q * kernels.softplus(p.q * t))
-
-        return cls._of(p.mu, gb2.tail_scale(p), lambda n: gb2.moment(p, n),
-                       ln_p=ln_p, floor=0.0,
+        return cls._of(p.mu, lambda: gb2.tail_scale(p),
+                       lambda n: gb2.moment(p, n),
+                       ln_p=lambda c, lc: gb2.log_pdf(p, lc), floor=0.0,
                        scale=p.c1 * min(1.0, p.q / (p.mu + p.nu)) ** (1.0 / p.q),
                        low_exp=p.nu, rate=0.0, tail_q=p.q)
 
@@ -110,10 +118,9 @@ class ThermoModel:
         """p(c) = e^{-c/mean} / mean on c > 0."""
         if not (math.isfinite(mean) and mean > 0.0):
             raise ValueError("exponential mean must be finite and > 0")
-        ln_lam = -math.log(mean)
-        return cls._of(math.inf, mean,
+        return cls._of(math.inf, lambda: mean,
                        lambda n: math.factorial(n) * mean ** n,
-                       ln_p=lambda c, lc: ln_lam - c / mean, floor=0.0,
+                       ln_p=lambda c, lc: -math.log(mean) - c / mean, floor=0.0,
                        scale=math.inf, low_exp=1.0, rate=1.0 / mean,
                        tail_q=math.inf)
 
@@ -123,11 +130,9 @@ class ThermoModel:
         the upper-tail cdf is exactly (c/c0)^-mu_f."""
         if not (math.isfinite(mu_f) and mu_f > 1.0):
             raise ValueError("tail index must be finite and > 1")
-        if not (math.isfinite(c0) and c0 > 0.0):
-            raise ValueError("tail scale must be finite and > 0")
-        ln_a = math.log(mu_f) + mu_f * math.log(c0)
-        return cls._of(mu_f, c0, lambda n: mu_f * c0 ** n / (mu_f - n),
-                       ln_p=lambda c, lc: ln_a - (mu_f + 1.0) * lc,
+        return cls._of(mu_f, lambda: c0, lambda n: mu_f * c0 ** n / (mu_f - n),
+                       ln_p=lambda c, lc: (math.log(mu_f) + mu_f * math.log(c0)
+                                           - (mu_f + 1.0) * lc),
                        floor=c0, scale=c0 / (mu_f + 1.0), low_exp=1.0,
                        rate=0.0, tail_q=math.inf)
 
@@ -216,13 +221,8 @@ def partition(m: ThermoModel, beta: float) -> float:
 
 
 def demand(m: ThermoModel, beta: float) -> float:
-    """Mean demand D(beta) = <c>_beta; D(0) is the cached mean0."""
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"demand requires finite beta >= 0, got {beta!r}")
-    if beta == 0.0:
-        return m.mean0
-    (z, m1), _ = _laplace(m, beta, (0, 1))
-    return m.floor + m1 / z
+    """Mean demand D(beta) = <c>_beta; D(0) is mean0."""
+    return moment(m, 1, beta)
 
 
 def moment(m: ThermoModel, n: int, beta: float) -> float:
@@ -239,8 +239,8 @@ def moment(m: ThermoModel, n: int, beta: float) -> float:
         return m.moment0(n)
     vals, _ = _laplace(m, beta, range(n + 1))
     # <c^n> from the moments of u = c - floor, all terms nonnegative
-    return sum(math.comb(n, k) * m.floor ** (n - k) * v
-               for k, v in enumerate(vals)) / vals[0]
+    return sum(math.comb(n, k) * m.floor ** (n - k) * (v / vals[0])
+               for k, v in enumerate(vals))
 
 
 def _require_expansion_regime(m: ThermoModel, beta: float) -> None:
@@ -336,9 +336,9 @@ class MonotonicityReport:
 
 
 def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
-    """Verify dD/dT >= 0 along the grid and that the two routes to
-    dD/dT (finite difference of D, and the variance identity) agree to
-    1e-4 relative, with an absolute floor for zero-variance models."""
+    """Verify dD/dT >= 0 along the grid and that the two routes to dD/dT
+    (finite difference, variance identity) agree to 1e-4 relative, with
+    absolute floors 1e-10 for unitless beta^2 Var and 1e-10 mean0 for D."""
     grid = np.asarray(beta_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("beta_grid must be a nonempty 1-d sequence")
@@ -347,7 +347,7 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
         raise ValueError(
             "beta_grid must be finite, positive and strictly increasing")
 
-    floor = 1e-10 * m.mean0 ** 2
+    var_floor, d_floor = 1e-10, 1e-10 * m.mean0
     points = []
     prev_demand = math.inf
     for beta in grid:
@@ -363,9 +363,9 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
 
         denom = max(abs(dd_dt_fd), abs(dd_dt_var))
         rel = abs(dd_dt_fd - dd_dt_var) / denom if denom > 0.0 else 0.0
-        agree = rel <= _VAR_AGREEMENT or denom <= floor
-        nonneg = dd_dt_var >= -floor
-        noninc = d_mid <= prev_demand * (1.0 + 1e-12) + floor
+        agree = rel <= _VAR_AGREEMENT or denom <= var_floor
+        nonneg = dd_dt_var >= -var_floor
+        noninc = d_mid <= prev_demand * (1.0 + 1e-12) + d_floor
         points.append(MonotonicityPoint(
             beta=float(beta), demand=d_mid, dd_dt_fd=dd_dt_fd,
             dd_dt_var=dd_dt_var, rel_diff=rel,
@@ -420,20 +420,20 @@ def _check_expansion(m: ThermoModel, grid) -> dict:
 
 
 def check_model(m: ThermoModel, beta_grid) -> dict:
-    """The thermo report of m: check_monotonicity on beta_grid, the
-    demand limits at a small and a large beta set by m, and the
-    expansion check; "passed" when all three hold."""
-    mono = check_monotonicity(m, beta_grid)
-
+    """The thermo report of m: check_monotonicity on beta_grid, the demand
+    limits at beta_lo and beta_hi set by m (ValueError if either is not a
+    normal float), and the expansion check; "passed" when all three hold."""
     # the relative demand deficit is O((c0 beta)^e), e = min(mu_f - 1, 1):
     # beta_lo brings it to about 1e-3 where e < 1/3
     e = min(m.mu_f - 1.0, 1.0)
-    beta_lo = 1e-9 ** max(1.0, 1.0 / (3.0 * e)) / m.c0
+    beta_lo = _normal("beta_lo", lambda: 1e-9 ** max(1.0, 1.0 / (3.0 * e)) / m.c0)
     # with a = low_exp, p(floor + u) / u^(a - 1) does not increase in u, so
     # the tilted law lies below Gamma(a, beta) and D - floor <= a / beta,
     # with the ratio tending to 1 as beta -> inf
     a = m.low_exp
-    beta_hi = 1e4 * (max(a, 1.0) / m.scale + m.rate)
+    beta_hi = _normal("beta_hi", lambda: 1e4 * (max(a, 1.0) / m.scale + m.rate))
+
+    mono = check_monotonicity(m, beta_grid)
     d_lo = demand(m, beta_lo)
     d_hi = demand(m, beta_hi)
     low_ok = abs(d_lo / m.mean0 - 1.0) <= 1e-2

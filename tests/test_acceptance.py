@@ -128,7 +128,7 @@ def test_a3_fit_recovery(capsys):
         hits = 0
         for i, p in enumerate(sets):
             c = gb2.sample(p, 50_000, seed=1000 * s + i)
-            fit = gb2.fit_mle(np.column_stack([c, np.ones_like(c)]))
+            fit = gb2.fit_mle(c)
             if abs(fit.params.mu - p.mu) <= 2.0 * fit.mu_stderr:
                 hits += 1
         per_seed.append(hits)

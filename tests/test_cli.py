@@ -501,17 +501,36 @@ def test_thermo_bad_model_exit_one(capsys):
                        ("gb2:mu=2.5,nu=0.8,q=1.2,c1=2.0,mu=3", "mu, nu, q, c1")):
         assert main(["thermo", "--model", spec]) == 1
         assert f"wants each of {keys} once" in capsys.readouterr().err
-    # closed-form constants that overflow a float
-    for spec in ("exponential:mean=1e300", "gb2:mu=2.5,nu=0.8,q=1.2,c1=1e200",
-                 "gb2:mu=2.5,nu=0.8,q=1e-3,c1=1"):
+    # closed-form constants outside the positive normal floats
+    for spec, message in (
+            ("exponential:mean=1e-300", "m2 = 0.0 is not a positive normal float"),
+            ("exponential:mean=1e300", "m2 overflows a float"),
+            ("gb2:mu=2.5,nu=0.8,q=1.2,c1=1e200", "m2 overflows a float"),
+            ("gb2:mu=2.5,nu=0.8,q=1e-3,c1=1", "c0 overflows a float")):
         assert main(["thermo", "--model", spec]) == 1
-        assert f"bad model spec {spec!r}" in capsys.readouterr().err
+        assert f"bad model spec {spec!r}: {message}" in capsys.readouterr().err
     assert main(["thermo", "--model", "exponential:mean=1",
                  "--beta-grid", "banana"]) == 1
     for grid in ("1e-3:inf:5", "1e-3:1e400:5"):
         assert main(["thermo", "--model", "exponential:mean=1.0",
                      "--beta-grid", grid]) == 1
         assert "--beta-grid wants finite" in capsys.readouterr().err
+
+
+# the monotonicity floors scale with what they bound, so models far from
+# unit scale pass; a model whose beta_lo is below the normal floats exits 1
+@pytest.mark.parametrize("model,code,message", [
+    ("exponential:mean=1e-5", 0, ""),
+    ("tail:mu=1.5,c0=1e-100", 0, ""),
+    ("gb2:mu=1.5,nu=1.0,q=1.0,c1=1e-100", 0, ""),
+    ("tail:mu=1.5,c0=1e300", 1, "beta_lo = 1e-309 is not a positive normal float")])
+def test_thermo_models_far_from_unit_scale(model, code, message, tmp_path,
+                                           capsys):
+    out = tmp_path / "t.json"
+    assert main(["thermo", "--model", model, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    if code == 0:
+        assert json.loads(out.read_text())["monotonicity"]["all_passed"]
 
 
 def test_readme_thermo_invocations_pass(tmp_path):
@@ -526,6 +545,18 @@ def test_readme_thermo_invocations_pass(tmp_path):
         argv[argv.index("--out") + 1] = str(out)
         assert main(argv) == 0, line
         assert json.loads(out.read_text())["passed"] is True
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    # the second block reads panel.csv from the working directory
+    write_panel(tmp_path / "panel.csv", n_firms=1500, mu=2.2, nu=2.0,
+                weight_exp=-0.5, seed=21, years=(1999, 2000))
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_thermo_model_help_lists_each_kind(capsys):

@@ -116,32 +116,26 @@ def test_tail_scale_matches_ccdf_asymptote():
         assert gb2.ccdf(p, c) == pytest.approx(approx, rel=0.01)
 
 
-def _pairs(c, w=None):
-    if w is None:
-        w = np.ones_like(c)
-    return np.column_stack([c, w])
-
-
 def test_fit_requires_min_observations():
     rng = np.random.default_rng(0)
     c = rng.uniform(0.5, 2.0, 99)
     with pytest.raises(InsufficientData):
-        gb2.fit_mle(_pairs(c))
+        gb2.fit_mle(c)
 
 
 def test_fit_rejects_bad_values():
     c = np.linspace(0.1, 10.0, 200)
     with pytest.raises(ValueError):
-        gb2.fit_mle(_pairs(c, np.full_like(c, -1.0)))
+        gb2.fit_mle(c, np.full_like(c, -1.0))
     c[0] = 0.0
     with pytest.raises(ValueError):
-        gb2.fit_mle(_pairs(c))
+        gb2.fit_mle(c)
 
 
 def test_fit_recovery_basic():
     p = gb2.Gb2Params(1.5, 1.0, 1.0, 1.0)
     c = gb2.sample(p, 50_000, 42)
-    res = gb2.fit_mle(_pairs(c))
+    res = gb2.fit_mle(c)
     assert res.converged
     assert 1.45 <= res.params.mu <= 1.55
     assert res.n_obs == 50_000
@@ -151,15 +145,15 @@ def test_fit_recovery_basic():
 def test_fit_recovery_heavier_params():
     p = gb2.Gb2Params(2.5, 0.8, 1.2, 2.0)
     c = gb2.sample(p, 50_000, 43)
-    res = gb2.fit_mle(_pairs(c))
+    res = gb2.fit_mle(c)
     assert 2.4 <= res.params.mu <= 2.6
 
 
 def test_fit_duplicated_dataset_identical():
     p = gb2.Gb2Params(1.5, 1.0, 1.0, 1.0)
     c = gb2.sample(p, 3000, 7)
-    res1 = gb2.fit_mle(_pairs(c))
-    res2 = gb2.fit_mle(_pairs(np.concatenate([c, c])))
+    res1 = gb2.fit_mle(c)
+    res2 = gb2.fit_mle(np.concatenate([c, c]))
     assert res2.params.mu == pytest.approx(res1.params.mu, rel=1e-9)
     assert res2.params.nu == pytest.approx(res1.params.nu, rel=1e-9)
     assert res2.params.q == pytest.approx(res1.params.q, rel=1e-9)
@@ -171,8 +165,8 @@ def test_fit_scale_equivariance():
     # the likelihood is exactly scale-equivariant
     p = gb2.Gb2Params(2.0, 1.0, 1.0, 1.0)
     c = gb2.sample(p, 5000, 11)
-    res1 = gb2.fit_mle(_pairs(c))
-    res2 = gb2.fit_mle(_pairs(1000.0 * c))
+    res1 = gb2.fit_mle(c)
+    res2 = gb2.fit_mle(1000.0 * c)
     assert res2.params.mu == pytest.approx(res1.params.mu, rel=1e-5)
     assert res2.params.nu == pytest.approx(res1.params.nu, rel=1e-5)
     assert res2.params.q == pytest.approx(res1.params.q, rel=1e-5)
@@ -183,23 +177,15 @@ def test_fit_weighted_tilt():
     # weighting by c^a turns GB2(mu, nu) into GB2(mu - a, nu + a)
     p = gb2.Gb2Params(2.2, 2.0, 1.0, 1.0)
     c = gb2.sample(p, 30_000, 19)
-    res = gb2.fit_mle(_pairs(c, c ** -0.5))
+    res = gb2.fit_mle(c, c ** -0.5)
     assert res.params.mu == pytest.approx(2.7, abs=3.0 * max(res.mu_stderr, 0.02))
-
-
-def test_fit_with_init_skips_multistart():
-    p = gb2.Gb2Params(1.5, 1.0, 1.0, 1.0)
-    c = gb2.sample(p, 2000, 3)
-    res = gb2.fit_mle(_pairs(c), init=p)
-    assert res.converged
-    assert abs(res.params.mu - 1.5) < 0.2
 
 
 def test_fit_deterministic():
     p = gb2.Gb2Params(1.5, 1.0, 1.0, 1.0)
     c = gb2.sample(p, 2000, 3)
-    r1 = gb2.fit_mle(_pairs(c))
-    r2 = gb2.fit_mle(_pairs(c))
+    r1 = gb2.fit_mle(c)
+    r2 = gb2.fit_mle(c)
     assert r1.params == r2.params
     assert r1.mu_stderr == r2.mu_stderr
 
@@ -267,17 +253,28 @@ def test_analytic_derivatives_match_finite_differences(theta, weights):
 
 
 def test_starts_reach_one_optimum():
-    # the five default starts, a start at the true law and a far start
-    data = _pairs(_panel_sample())
-    fits = [gb2.fit_mle(data), gb2.fit_mle(data, init=PANEL_LAW),
-            gb2.fit_mle(data, init=gb2.Gb2Params(6.0, 0.3, 0.5, 5.0))]
-    for res in fits:
-        assert res.converged
-        for name in ("mu", "nu", "q", "c1"):
-            assert getattr(res.params, name) == pytest.approx(
-                getattr(fits[0].params, name), rel=1e-5)
-        assert res.log_likelihood == pytest.approx(fits[0].log_likelihood,
-                                                   rel=1e-12)
+    # the five default starts, a path from the true law and a far start
+    res = gb2.fit_mle(_panel_sample())
+    assert res.converged
+    theta_hat = np.log([res.params.mu, res.params.nu, res.params.q,
+                        res.params.c1])
+    args = _likelihood_args("unit")
+    for start in (PANEL_LAW, gb2.Gb2Params(6.0, 0.3, 0.5, 5.0)):
+        path = gb2._newton(np.log([start.mu, start.nu, start.q, start.c1]),
+                           *args)
+        assert path.converged
+        assert np.exp(path.theta) == pytest.approx(np.exp(theta_hat), rel=1e-5)
+        assert -path.f == pytest.approx(res.log_likelihood, rel=1e-12)
+
+
+def test_fit_takes_c_and_weights_as_they_are():
+    c = _panel_sample()
+    with pytest.raises(ValueError, match="c must be 1-d"):
+        gb2.fit_mle(np.column_stack([c, np.ones_like(c)]))
+    with pytest.raises(ValueError, match="weights must have c's shape"):
+        gb2.fit_mle(c, np.ones(len(c) - 1))
+    # None and unit weights are the same fit
+    assert gb2.fit_mle(c, np.ones_like(c)) == gb2.fit_mle(c)
 
 
 def test_derivatives_outside_bound_are_inf():
@@ -287,7 +284,7 @@ def test_derivatives_outside_bound_are_inf():
 
 
 def test_bootstrap_matches_simplex_era():
-    res = gb2.fit_mle(_pairs(_panel_sample()))
+    res = gb2.fit_mle(_panel_sample())
     assert res.converged
     assert res.bootstrap_converged == 200
     assert res.mu_stderr == pytest.approx(SIMPLEX_ERA_MU_STDERR, rel=0.02)
@@ -315,8 +312,8 @@ def test_worker_weighted_hessian_stderr_is_unit_free():
     # rescaling all weights leaves the fit and both stderrs unchanged
     c = _panel_sample()
     w = np.floor(200.0 * c ** -0.5) + 1.0
-    r1 = gb2.fit_mle(_pairs(c, w))
-    r2 = gb2.fit_mle(_pairs(c, 8.0 * w))
+    r1 = gb2.fit_mle(c, w)
+    r2 = gb2.fit_mle(c, 8.0 * w)
     assert r2.params.mu == pytest.approx(r1.params.mu, rel=1e-9)
     assert r2.mu_stderr_hessian == pytest.approx(r1.mu_stderr_hessian, rel=1e-6)
     assert r2.mu_stderr == pytest.approx(r1.mu_stderr, rel=1e-6)
