@@ -221,7 +221,11 @@ def _cmd_index(args) -> int:
         indices = ParetoIndices(
             mu_f=firm_fit.params.mu, mu_w=worker_fit.params.mu,
             mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr)
-        point = kappa_from_mus(indices)
+        try:
+            point = kappa_from_mus(indices)
+        except ValueError as exc:           # mu_f <= 1: no demand index
+            series.append({"year": year, "error": str(exc)})
+            continue
         entry = {"year": year, **vars(indices), **vars(point),
                  "regime": point.regime.value}
         for side, fr in (("firm", firm_fit), ("worker", worker_fit)):
@@ -375,12 +379,17 @@ def _cmd_ranksize(args) -> int:
 # parser
 
 
+# fit and ranksize may also pool both sector classes
+_ANY_CLASS = ingest.CLASS_CODES + ("all",)
+
+
 def _add_panel_args(p: argparse.ArgumentParser, with_target: bool,
                     class_choices) -> None:
     p.add_argument("--input", required=True, help="panel CSV path")
     p.add_argument("--class", dest="klass", required=True,
                    choices=class_choices, help="sector class slice")
-    p.add_argument("--min-workers", type=float, default=1.0,
+    p.add_argument("--min-workers", type=float,
+                   default=ingest.FilterConfig.min_workers,
                    help="drop samples with averaged workforce below this")
     p.add_argument("--max-productivity", type=float, default=None,
                    help="drop samples with productivity above this cap")
@@ -395,13 +404,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("fit", help="GB2 MLE on a panel slice")
-    _add_panel_args(p, with_target=True, class_choices=("M", "N", "all"))
+    _add_panel_args(p, with_target=True, class_choices=_ANY_CLASS)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("index", help="per-year demand-index series")
-    _add_panel_args(p, with_target=False, class_choices=("M", "N"))
+    _add_panel_args(p, with_target=False, class_choices=ingest.CLASS_CODES)
     p.add_argument("--years", required=True, help="inclusive range Y1..Y2")
     p.add_argument("--out-json", default=None, help="JSON path (default stdout)")
     p.add_argument("--out-tsv", default=None, help="optional TSV path")
@@ -422,7 +431,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_thermo)
 
     p = sub.add_parser("ranksize", help="rank-size plot data")
-    _add_panel_args(p, with_target=True, class_choices=("M", "N", "all"))
+    _add_panel_args(p, with_target=True, class_choices=_ANY_CLASS)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--fit", action="store_true",
                    help="also fit GB2 and write the model curve")

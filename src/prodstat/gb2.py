@@ -7,7 +7,8 @@ maximum-likelihood fitting.  The density is
 
 with mu, nu, q, c1 > 0.  The upper tail is Pareto with index mu
 (p(c) ~ c^(-mu-1)), the lower end rises as c^(nu-1), q sets the
-sharpness of the crossover and c1 its location.
+sharpness of the crossover and c1 its location.  log_beta and the cdf's
+reg_inc_beta are domain-checked calls to math.lgamma and scipy's betainc.
 
 Fitting maximizes sum_i w_i ln p(c_i) over the log-transformed
 parameters theta = (ln mu, ln nu, ln q, ln c1) with damped Newton
@@ -30,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, zeta
+from scipy.special import betainc, digamma, zeta
 
 from . import kernels
 from .errors import InsufficientData
-from .specfun import log_beta, reg_inc_beta
 
 _MIN_OBS = 100               # fits below this are refused
 _N_BOOTSTRAP = 200           # replicates behind mu_stderr
@@ -83,6 +83,22 @@ class FitResult:
             raise ValueError("mu_stderr must be >= 0")
         if not self.mu_stderr_hessian >= 0.0:
             raise ValueError("mu_stderr_hessian must be >= 0")
+
+
+def log_beta(s: float, t: float) -> float:
+    """ln B(s, t) for s, t > 0."""
+    if not (s > 0.0 and t > 0.0) or math.isinf(s) or math.isinf(t):
+        raise ValueError(f"log_beta requires finite s, t > 0, got {s!r}, {t!r}")
+    return math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t)
+
+
+def reg_inc_beta(z: float, s: float, t: float) -> float:
+    """Regularized incomplete beta I_z(s, t) for z in [0, 1], s, t > 0."""
+    if not (0.0 <= z <= 1.0):
+        raise ValueError(f"reg_inc_beta requires 0 <= z <= 1, got {z!r}")
+    if not (s > 0.0 and t > 0.0) or math.isinf(s) or math.isinf(t):
+        raise ValueError(f"reg_inc_beta requires finite s, t > 0, got {s!r}, {t!r}")
+    return float(betainc(s, t, z))
 
 
 def log_pdf(p: Gb2Params, lc: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ class SimOutput:
 def sample_betas(w: BetaWeight, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws from f(beta) ~ beta^-gamma on [beta_min, beta_max] by the
     closed-form inverse cdf; a degenerate window returns beta_min."""
-    if w.beta_max == w.beta_min:
+    if w.degenerate:
         return np.full(n, w.beta_min)
     e = 1.0 - w.gamma
     u = rng.random(n)

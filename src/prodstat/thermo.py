@@ -8,7 +8,8 @@ c0 (upper-tail cdf ~ (c/c0)^-mu_f), this module computes
     <c^n>_beta   = int c^n e^{-beta c} p(c) dc / Z  (moment)
 
 by quadrature (closed forms at beta = 0), plus the three-branch
-small-beta expansions of Z and D and a monotonicity check of the
+small-beta expansions of Z and D (with gamma_neg, a domain-checked
+math.gamma at negative arguments) and a monotonicity check of the
 demand-temperature relation dD/dT = beta^2 Var_beta(c) >= 0, T = 1/beta.
 check_model runs that check, the demand limits and the expansions'
 error orders, and returns the report the `prodstat thermo` job writes.
@@ -37,13 +38,14 @@ import numpy as np
 from . import gb2
 from .errors import DivergentMoment, OutOfRegime
 # log_beta stays bound here: perfbench/tracing.py wraps thermo.log_beta by name
-from .specfun import gamma_neg, log_beta  # noqa: F401
+from .gb2 import log_beta  # noqa: F401
 
 QUAD_EPSREL = 1e-12        # relative error target of every Laplace integral
 _MAX_NODES = 1 << 21       # quad raises rather than evaluate more nodes
 _TAIL_EFOLDS = 45.0        # integrand e-folds kept beyond each end of the range
 _EXPANSION_GUARD = 0.1     # expansions refuse c0 * beta at or above this
 _BRANCH_TOL = 1e-6         # |mu_f - 2| below this selects the log branch
+_POLE_TOL = 1e-12          # distance to a non-positive integer treated as a pole
 _FD_STEP = 1e-4            # relative step of the demand finite difference
 _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
 _ORDER_TOL = 0.5           # allowed |observed / predicted - 1| error order
@@ -252,6 +254,34 @@ def _require_expansion_regime(m: ThermoModel, beta: float) -> None:
             f"expansion regime (< {_EXPANSION_GUARD})")
 
 
+def gamma_neg(x: float) -> float:
+    """Gamma(x) for non-integer x, including x < 0, |x| < 170."""
+    if not math.isfinite(x) or abs(x) >= 170.0:
+        raise ValueError(f"gamma_neg requires finite |x| < 170, got {x!r}")
+    r = round(x)
+    if r <= 0 and abs(x - r) < _POLE_TOL:
+        raise ValueError(f"gamma_neg pole at non-positive integer x = {x!r}")
+    return math.gamma(x)
+
+
+def _expansion_terms(m: ThermoModel, beta: float) -> tuple[float, float]:
+    """(Z term, D term): what partition_expansion adds to 1 - mean0 beta
+    and demand_expansion adds to mean0, both from one branch on mu_f."""
+    _require_expansion_regime(m, beta)
+    if beta == 0.0:
+        return 0.0, 0.0
+    if abs(m.mu_f - 2.0) < _BRANCH_TOL:
+        x = m.c0 * beta
+        log_x = math.log(x)
+        return -(x * x * log_x), 2.0 * m.c0 * m.c0 * beta * log_x
+    if m.mu_f > 2.0:
+        return (0.5 * m.m2 * beta * beta,
+                -((m.m2 - m.mean0 * m.mean0) * beta))
+    g = gamma_neg(-m.mu_f)
+    return (m.mu_f * g * (m.c0 * beta) ** m.mu_f,
+            -(m.mu_f ** 2 * g * m.c0 ** m.mu_f * beta ** (m.mu_f - 1.0)))
+
+
 def partition_expansion(m: ThermoModel, beta: float) -> float:
     """Leading small-beta behavior of Z(beta), branch set by mu_f:
 
@@ -259,16 +289,7 @@ def partition_expansion(m: ThermoModel, beta: float) -> float:
         1 - mean0 b - (c0 b)^2 log(c0 b)            mu_f = 2
         1 - mean0 b + mu_f Gamma(-mu_f) (c0 b)^mu_f 1 < mu_f < 2
     """
-    _require_expansion_regime(m, beta)
-    if beta == 0.0:
-        return 1.0
-    if abs(m.mu_f - 2.0) < _BRANCH_TOL:
-        x = m.c0 * beta
-        return 1.0 - m.mean0 * beta - x * x * math.log(x)
-    if m.mu_f > 2.0:
-        return 1.0 - m.mean0 * beta + 0.5 * m.m2 * beta * beta
-    return (1.0 - m.mean0 * beta
-            + m.mu_f * gamma_neg(-m.mu_f) * (m.c0 * beta) ** m.mu_f)
+    return 1.0 - m.mean0 * beta + _expansion_terms(m, beta)[0]
 
 
 def demand_expansion(m: ThermoModel, beta: float) -> float:
@@ -278,16 +299,7 @@ def demand_expansion(m: ThermoModel, beta: float) -> float:
         mean0 + 2 c0^2 b log(c0 b)                      mu_f = 2
         mean0 - mu_f^2 Gamma(-mu_f) c0^mu_f b^(mu_f-1)  1 < mu_f < 2
     """
-    _require_expansion_regime(m, beta)
-    if beta == 0.0:
-        return m.mean0
-    if abs(m.mu_f - 2.0) < _BRANCH_TOL:
-        x = m.c0 * beta
-        return m.mean0 + 2.0 * m.c0 * m.c0 * beta * math.log(x)
-    if m.mu_f > 2.0:
-        return m.mean0 - (m.m2 - m.mean0 * m.mean0) * beta
-    return (m.mean0 - m.mu_f ** 2 * gamma_neg(-m.mu_f)
-            * m.c0 ** m.mu_f * beta ** (m.mu_f - 1.0))
+    return m.mean0 + _expansion_terms(m, beta)[1]
 
 
 def expansion_error_orders(m: ThermoModel, x: float) -> tuple[float, float]:
@@ -385,37 +397,41 @@ def _check_expansion(m: ThermoModel, grid) -> dict:
     log-log slope of each relative error of the demand deficit mean0 - D
     and the partition deficit 1 - Z must be within a fraction _ORDER_TOL
     of the order expansion_error_orders predicts, unless quadrature noise
-    in a deficit dominates its error.  A wrong expansion coefficient
-    leaves an error that does not shrink.  One point in the regime is
-    paired with half its beta."""
+    dominates that error.  A deficit within its noise (_ORDER_FLOOR mean0
+    for D, _ORDER_FLOOR for Z) has a null error and gives no order.  A
+    wrong expansion coefficient leaves an error that does not shrink.
+    One point in the regime is paired with half its beta."""
     small = [float(b) for b in grid if m.c0 * b < 0.01][:3]
     if not small:
         return {"checked": False}
     if len(small) == 1:
         small.insert(0, 0.5 * small[0])
+    noise = (_ORDER_FLOOR * m.mean0, _ORDER_FLOOR)
     points = []
     prev = None
     for beta in small:
-        d_def = m.mean0 - demand(m, beta)
-        z_def = 1.0 - partition(m, beta)
-        errs = (abs((m.mean0 - demand_expansion(m, beta)) / d_def - 1.0),
-                abs((1.0 - partition_expansion(m, beta)) / z_def - 1.0))
-        floors = (_ORDER_FLOOR * m.mean0 / d_def, _ORDER_FLOOR / z_def)
+        deficits = (m.mean0 - demand(m, beta), 1.0 - partition(m, beta))
+        kept = (m.mean0 - demand_expansion(m, beta),
+                1.0 - partition_expansion(m, beta))
+        errs = [abs(k / d - 1.0) if abs(d) > n else None
+                for k, d, n in zip(kept, deficits, noise)]
+        signal = [e is not None and e > n / abs(d)
+                  for e, d, n in zip(errs, deficits, noise)]
         point = {"beta": beta, "demand_deficit_rel_err": errs[0],
                  "partition_deficit_rel_err": errs[1], "passed": True}
         if prev is not None:
-            p_beta, p_errs, p_floors = prev
+            p_beta, p_errs, p_signal = prev
             predicted = expansion_error_orders(
                 m, m.c0 * math.sqrt(p_beta * beta))
             for i, name in enumerate(("demand", "partition")):
                 order = None
-                if errs[i] > floors[i] and p_errs[i] > p_floors[i]:
+                if signal[i] and p_signal[i]:
                     order = math.log(errs[i] / p_errs[i]) / math.log(beta / p_beta)
                     point["passed"] &= abs(order / predicted[i] - 1.0) <= _ORDER_TOL
                 point[f"{name}_order"] = order
                 point[f"{name}_order_predicted"] = predicted[i]
         points.append(point)
-        prev = (beta, errs, floors)
+        prev = (beta, errs, signal)
     return {"checked": True, "order_tolerance": _ORDER_TOL, "points": points}
 
 

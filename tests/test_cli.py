@@ -245,6 +245,28 @@ def test_index_missing_years_recorded(super_panel, tmp_path):
     assert set(series[2]) == set(series[3]) == {"year", "error"}
 
 
+def test_index_year_with_mu_f_below_one_recorded(tmp_path):
+    # 2000 fits mu_f = 0.80, where kappa is undefined: it is recorded like
+    # a year with too little data, and the run goes on to 2003
+    low = write_panel(tmp_path / "low.csv", n_firms=1500, mu=0.8, nu=2.0,
+                      weight_exp=-0.5, seed=3, years=(1999, 2000))
+    good = write_panel(tmp_path / "good.csv", n_firms=1500, mu=2.2, nu=2.0,
+                       weight_exp=-0.5, seed=21, years=(2002, 2003))
+    panel = tmp_path / "mixed.csv"
+    panel.write_text(low.read_text() + good.read_text().split("\n", 1)[1])
+    out_json, out_tsv = tmp_path / "idx.json", tmp_path / "idx.tsv"
+    assert main(["index", "--input", str(panel), "--years", "2000..2003",
+                 "--class", "M", "--out-json", str(out_json),
+                 "--out-tsv", str(out_tsv)]) == 0
+    series = json.loads(out_json.read_text())["series"]
+    assert [e["year"] for e in series] == [2000, 2001, 2002, 2003]
+    assert set(series[0]) == {"year", "error"}
+    assert series[0]["error"].startswith("mu_f must exceed 1, got 0.80")
+    assert series[3]["regime"] == "Superstatistical"
+    assert [ln.split("\t")[0] for ln in out_tsv.read_text().splitlines()[2:]] \
+        == ["2003"]
+
+
 def test_simulate_outputs_and_report(tmp_path):
     scenario = _scenario(tmp_path)
     out_dir = tmp_path / "run"
@@ -531,6 +553,32 @@ def test_thermo_models_far_from_unit_scale(model, code, message, tmp_path,
     assert message in capsys.readouterr().err
     if code == 0:
         assert json.loads(out.read_text())["monotonicity"]["all_passed"]
+
+
+# deficits at or below their quadrature noise, of either sign or zero,
+# give a null error and no order: correct models at far scales and on a
+# grid where D and Z round to their beta = 0 values pass
+@pytest.mark.parametrize("model,grid", [
+    ("exponential:mean=1e-100", None),
+    ("tail:mu=1.5,c0=1e-300", None),
+    ("exponential:mean=1", "1e-300:1e-299:2")])
+def test_thermo_expansion_noise_level_deficits(model, grid, tmp_path):
+    out = tmp_path / "t.json"
+    argv = ["thermo", "--model", model, "--out", str(out)]
+    if grid is not None:
+        argv += ["--beta-grid", grid]
+    assert main(argv) == 0
+    points = json.loads(out.read_text())["expansion"]["points"]
+    assert points and all(p["passed"] for p in points)
+    nulls = 0
+    for p, prev in zip(points[1:], points):
+        for name in ("demand", "partition"):
+            if p[f"{name}_deficit_rel_err"] is None:
+                nulls += 1
+            if None in (p[f"{name}_deficit_rel_err"],
+                        prev[f"{name}_deficit_rel_err"]):
+                assert p[f"{name}_order"] is None
+    assert nulls > 0
 
 
 def test_readme_thermo_invocations_pass(tmp_path):

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 
 from prodstat import gb2, kernels
 from prodstat.errors import InsufficientData
-from prodstat.specfun import log_beta
+from prodstat.gb2 import log_beta
 
 # (mu, nu, q, c1, n) -> E[c^n]
 MOMENT_REF = [

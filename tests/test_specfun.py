@@ -1,12 +1,15 @@
-"""Special-function layer: reference values computed with mpmath at
-40+ digit precision, plus identity-based property checks."""
+"""The special functions of gb2 (log-beta, regularized incomplete beta)
+and thermo (gamma at negative arguments): reference values computed
+with mpmath at 40+ digit precision, plus identity-based property
+checks."""
 
 import math
 
 import numpy as np
 import pytest
 
-from prodstat import specfun
+from prodstat.gb2 import log_beta, reg_inc_beta
+from prodstat.thermo import gamma_neg
 
 # (z, s, t) -> I_z(s, t), regularized incomplete beta
 INC_BETA_REF = [
@@ -40,13 +43,13 @@ GAMMA_REF = [
 @pytest.mark.parametrize("args,expected", INC_BETA_REF)
 def test_reg_inc_beta_reference(args, expected):
     z, s, t = args
-    got = specfun.reg_inc_beta(z, s, t)
+    got = reg_inc_beta(z, s, t)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("x,expected", GAMMA_REF)
 def test_gamma_neg_reference(x, expected):
-    assert specfun.gamma_neg(x) == pytest.approx(expected, rel=1e-11)
+    assert gamma_neg(x) == pytest.approx(expected, rel=1e-11)
 
 
 
@@ -57,22 +60,22 @@ def test_gamma_neg_recurrence_identity():
     for x in rng.uniform(-2.0, 0.0, 500):
         if min(abs(x - round(x)), abs(x + 1 - round(x + 1))) < 1e-3:
             continue
-        lhs = specfun.gamma_neg(x) * x * (x + 1.0)
-        rhs = specfun.gamma_neg(x + 2.0)
+        lhs = gamma_neg(x) * x * (x + 1.0)
+        rhs = gamma_neg(x + 2.0)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_gamma_neg_poles():
     for pole in (0.0, -1.0, -5.0):
         with pytest.raises(ValueError):
-            specfun.gamma_neg(pole + 5e-13)
+            gamma_neg(pole + 5e-13)
     # just outside the pole tolerance still evaluates
-    assert math.isfinite(specfun.gamma_neg(-1.0 + 1e-9))
+    assert math.isfinite(gamma_neg(-1.0 + 1e-9))
 
 
 def test_gamma_neg_range_guard():
     with pytest.raises(ValueError):
-        specfun.gamma_neg(-170.5)
+        gamma_neg(-170.5)
 
 
 def test_reg_inc_beta_symmetry():
@@ -82,29 +85,29 @@ def test_reg_inc_beta_symmetry():
         z = rng.uniform(1e-6, 1.0 - 1e-6)
         s = 10.0 ** rng.uniform(-2, 2)
         t = 10.0 ** rng.uniform(-2, 2)
-        total = specfun.reg_inc_beta(z, s, t) + specfun.reg_inc_beta(1.0 - z, t, s)
+        total = reg_inc_beta(z, s, t) + reg_inc_beta(1.0 - z, t, s)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reg_inc_beta_monotone():
     zs = np.linspace(0.0, 1.0, 200)
     for s, t in [(0.5, 0.5), (3.0, 1.2), (0.1, 8.0)]:
-        vals = [specfun.reg_inc_beta(z, s, t) for z in zs]
+        vals = [reg_inc_beta(z, s, t) for z in zs]
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_reg_inc_beta_domain():
     with pytest.raises(ValueError):
-        specfun.reg_inc_beta(-0.1, 1.0, 1.0)
+        reg_inc_beta(-0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        specfun.reg_inc_beta(1.1, 1.0, 1.0)
+        reg_inc_beta(1.1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        specfun.reg_inc_beta(0.5, -1.0, 1.0)
+        reg_inc_beta(0.5, -1.0, 1.0)
 
 
 def test_log_beta_vs_gamma():
     for s, t in [(0.5, 0.5), (3.0, 1.2), (0.1, 8.0), (40.0, 2.0)]:
-        direct = specfun.log_beta(s, t)
+        direct = log_beta(s, t)
         viagamma = math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t)
         assert direct == pytest.approx(viagamma, rel=1e-12, abs=1e-12)

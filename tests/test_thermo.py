@@ -277,6 +277,33 @@ def test_expansion_log_branch_at_two():
     assert raw[2] - raw[0] > 5.0 * abs(hi - lo)
 
 
+@pytest.mark.parametrize("m", [_gb2_model(2.5, 0.8, 1.2, 2.0),
+                               ThermoModel.exponential(1.0),
+                               ThermoModel.tabulated_tail(1.5, 1.0),
+                               _gb2_model(1.5, 1.0, 1.0, 1.0),
+                               ThermoModel.tabulated_tail(2.0, 1.0)])
+def test_expansions_are_their_branch_formulas(m):
+    # each branch of the two docstring tables written out term by term;
+    # both expansions share one branch choice and must match to the bit
+    for beta in (0.0, 1e-6, 1e-3 / m.c0):
+        x = m.c0 * beta
+        if beta == 0.0:
+            z, d = 1.0, m.mean0
+        elif m.mu_f == 2.0:
+            z = 1.0 - m.mean0 * beta - x * x * math.log(x)
+            d = m.mean0 + 2.0 * m.c0 * m.c0 * beta * math.log(x)
+        elif m.mu_f > 2.0:
+            z = 1.0 - m.mean0 * beta + 0.5 * m.m2 * beta * beta
+            d = m.mean0 - (m.m2 - m.mean0 * m.mean0) * beta
+        else:
+            g = math.gamma(-m.mu_f)
+            z = 1.0 - m.mean0 * beta + m.mu_f * g * x ** m.mu_f
+            d = (m.mean0 - m.mu_f ** 2 * g * m.c0 ** m.mu_f
+                 * beta ** (m.mu_f - 1.0))
+        assert thermo.partition_expansion(m, beta) == z
+        assert thermo.demand_expansion(m, beta) == d
+
+
 def test_expansion_error_orders_per_branch():
     x = 1e-3
     assert thermo.expansion_error_orders(ThermoModel.exponential(1.0), x) == (1.0, 2.0)
