@@ -9,7 +9,9 @@ thermo    partition-function checks for a model spec
 ranksize  empirical rank-size points, optionally with a fitted curve
 
 A subcommand writes what the library returns; every check and pass rule
-is the library's (simulate.check_window, thermo.check_model, ...).
+is the library's (simulate.check_window, thermo.check_model, ...), and
+so are the scenario file and model spec grammars
+(simulate.parse_scenario, thermo.parse_model).
 Every output embeds a run manifest (command, input paths, filter
 config, seed, tool version, timestamp).  JSON outputs write result
 dataclasses as they are: the ``fit`` object carries every field of
@@ -241,7 +243,8 @@ def _cmd_index(args) -> int:
     if args.out_tsv:
         _write_tsv(args.out_tsv, manifest, _INDEX_COLUMNS, rows)
     if not rows:
-        print("index: no year produced a fit", file=sys.stderr)
+        print("index: no year produced an index: " + "; ".join(
+            f"{e['year']}: {e['error']}" for e in series), file=sys.stderr)
         return 2
     return 0
 
@@ -297,32 +300,6 @@ def _cmd_simulate(args) -> int:
 # thermo
 
 
-# model kind -> (constructor, the keys of its spec in argument order)
-_MODEL_KINDS = {
-    "exponential": (thermo.ThermoModel.exponential, ("mean",)),
-    "gb2": (lambda *p: thermo.ThermoModel.from_gb2(gb2.Gb2Params(*p)),
-            ("mu", "nu", "q", "c1")),
-    "tail": (thermo.ThermoModel.tabulated_tail, ("mu", "c0")),
-}
-
-
-def _parse_model(spec: str) -> thermo.ThermoModel:
-    kind, _, rest = spec.partition(":")
-    if kind not in _MODEL_KINDS:
-        raise _UsageError(f"unknown model kind {kind!r} "
-                          f"(want {', '.join(_MODEL_KINDS)})")
-    make, keys = _MODEL_KINDS[kind]
-    items = [item.partition("=") for item in rest.split(",") if item]
-    if sorted(key.strip() for key, _, _ in items) != sorted(keys):
-        raise _UsageError(f"bad model spec {spec!r}: {kind} wants each of "
-                          f"{', '.join(keys)} once and no other key")
-    values = {key.strip(): val for key, _, val in items}
-    try:
-        return make(*(float(values[key]) for key in keys))
-    except ValueError as exc:
-        raise _UsageError(f"bad model spec {spec!r}: {exc}") from None
-
-
 def _parse_beta_grid(spec: str) -> np.ndarray:
     try:
         lo_s, hi_s, n_s = spec.split(":")
@@ -336,7 +313,7 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_thermo(args) -> int:
-    model = _parse_model(args.model)
+    model = thermo.parse_model(args.model)
     grid = _parse_beta_grid(args.beta_grid)
     manifest = _manifest("thermo", filters={"model": args.model,
                                             "beta_grid": args.beta_grid})
@@ -424,7 +401,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thermo", help="partition-function checks")
     p.add_argument("--model", required=True, help=" | ".join(
         f"{kind}:" + ",".join(f"{key}=V" for key in keys)
-        for kind, (_, keys) in _MODEL_KINDS.items()))
+        for kind, (_, keys) in thermo.MODEL_KINDS.items()))
     p.add_argument("--beta-grid", default="1e-3:1e3:50",
                    help="log-spaced grid lo:hi:n")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")

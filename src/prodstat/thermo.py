@@ -24,11 +24,15 @@ from the two edge decay rates: u^(n+a) below the model scale, where
 p ~ u^(a-1), and the e^{-beta u} cutoff above.
 
 Supported models: GB2, exponential (tail index +inf), and a pure
-power-law tail on [c0, inf) for tail-only work.
+power-law tail on [c0, inf) for tail-only work.  parse_model reads one
+from a spec kind:key=value,... by the MODEL_KINDS table, so a new family
+touches this module only.  A thermal moment that overflows a float
+raises ValueError naming its beta.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -51,6 +55,17 @@ _VAR_AGREEMENT = 1e-4      # two-way dD/dT agreement requirement
 _ORDER_TOL = 0.5           # allowed |observed / predicted - 1| error order
 # D/mean0 and Z noise bound: 1000x the quadrature target, 1e-9
 _ORDER_FLOOR = 1e3 * QUAD_EPSREL
+
+
+@contextlib.contextmanager
+def _finite_at(beta: float):
+    """Turn a float overflow in the block into ValueError naming beta."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"thermal moments at beta = {float(beta)!r} "
+                         "overflow a float") from None
 
 
 def _normal(name: str, compute: Callable[[], float]) -> float:
@@ -139,6 +154,34 @@ class ThermoModel:
                        rate=0.0, tail_q=math.inf)
 
 
+# model kind -> (constructor, the keys of its spec in argument order)
+MODEL_KINDS = {
+    "exponential": (ThermoModel.exponential, ("mean",)),
+    "gb2": (lambda *p: ThermoModel.from_gb2(gb2.Gb2Params(*p)),
+            ("mu", "nu", "q", "c1")),
+    "tail": (ThermoModel.tabulated_tail, ("mu", "c0")),
+}
+
+
+def parse_model(spec: str) -> ThermoModel:
+    """The model of a spec kind:key=value,... that gives each of its
+    kind's MODEL_KINDS keys once; ValueError naming the spec otherwise."""
+    kind, _, rest = spec.partition(":")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r} "
+                         f"(want {', '.join(MODEL_KINDS)})")
+    make, keys = MODEL_KINDS[kind]
+    items = [item.partition("=") for item in rest.split(",") if item]
+    if sorted(key.strip() for key, _, _ in items) != sorted(keys):
+        raise ValueError(f"bad model spec {spec!r}: {kind} wants each of "
+                         f"{', '.join(keys)} once and no other key")
+    values = {key.strip(): val for key, _, val in items}
+    try:
+        return make(*(float(values[key]) for key in keys))
+    except ValueError as exc:
+        raise ValueError(f"bad model spec {spec!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -204,7 +247,8 @@ def _laplace(m: ThermoModel, beta: float, orders) -> tuple[list, float]:
             peak = float(expo.max())
         return np.exp(n * x + (expo - peak))
 
-    vals = quad(f, x_lo, x_hi).tolist()
+    with _finite_at(beta):
+        vals = quad(f, x_lo, x_hi).tolist()
     return vals, peak - beta * floor
 
 
@@ -363,15 +407,16 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     points = []
     prev_demand = math.inf
     for beta in grid:
-        (z, m1, m2), _ = _laplace(m, beta, (0, 1, 2))
-        mean_u = m1 / z
-        d_mid = m.floor + mean_u
-        d_lo = demand(m, beta * (1.0 - _FD_STEP))
-        d_hi = demand(m, beta * (1.0 + _FD_STEP))
-        dd_dbeta = (d_hi - d_lo) / (2.0 * beta * _FD_STEP)
-        dd_dt_fd = -beta * beta * dd_dbeta
-        var = m2 / z - mean_u ** 2
-        dd_dt_var = beta * beta * var
+        with _finite_at(beta):
+            (z, m1, m2), _ = _laplace(m, beta, (0, 1, 2))
+            mean_u = m1 / z
+            d_mid = m.floor + mean_u
+            d_lo = demand(m, beta * (1.0 - _FD_STEP))
+            d_hi = demand(m, beta * (1.0 + _FD_STEP))
+            dd_dbeta = (d_hi - d_lo) / (2.0 * beta * _FD_STEP)
+            dd_dt_fd = -beta * beta * dd_dbeta
+            var = m2 / z - mean_u ** 2
+            dd_dt_var = beta * beta * var
 
         denom = max(abs(dd_dt_fd), abs(dd_dt_var))
         rel = abs(dd_dt_fd - dd_dt_var) / denom if denom > 0.0 else 0.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import cli, gb2, simulate, thermo
+from prodstat import gb2, simulate, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
@@ -267,6 +267,22 @@ def test_index_year_with_mu_f_below_one_recorded(tmp_path):
         == ["2003"]
 
 
+def test_index_no_year_names_each_cause(tmp_path, capsys):
+    # 1999 is the panel's first year, so it has no samples; 2000 and 2001
+    # fit mu_f = 0.80: the one stderr line names each year's own error
+    panel = write_panel(tmp_path / "low.csv", n_firms=1500, mu=0.8, nu=2.0,
+                        weight_exp=-0.5, seed=3)
+    out_json = tmp_path / "idx.json"
+    assert main(["index", "--input", str(panel), "--years", "1999..2001",
+                 "--class", "M", "--out-json", str(out_json)]) == 2
+    series = json.loads(out_json.read_text())["series"]
+    err = capsys.readouterr().err
+    assert err == "index: no year produced an index: " + "; ".join(
+        f"{e['year']}: {e['error']}" for e in series) + "\n"
+    assert "1999: need at least 100 observations, got 0; " in err
+    assert "2000: mu_f must exceed 1, got 0.80" in err
+
+
 def test_simulate_outputs_and_report(tmp_path):
     scenario = _scenario(tmp_path)
     out_dir = tmp_path / "run"
@@ -452,13 +468,13 @@ def test_thermo_limits_from_each_models_asymptotes(model, grid, tmp_path):
                                                ("low_exp", 2.0, "high_ok")])
 def test_thermo_wrong_limit_constant_exit_four(model, field, factor, flag,
                                                tmp_path, monkeypatch):
-    parse = cli._parse_model
+    parse = thermo.parse_model
 
     def wrong(spec):
         m = parse(spec)
         return dataclasses.replace(m, **{field: factor * getattr(m, field)})
 
-    monkeypatch.setattr(cli, "_parse_model", wrong)
+    monkeypatch.setattr(thermo, "parse_model", wrong)
     out = tmp_path / "t.json"
     assert main(["thermo", "--model", model, "--out", str(out)]) == 4
     limits = json.loads(out.read_text())["limits"]
@@ -581,18 +597,38 @@ def test_thermo_expansion_noise_level_deficits(model, grid, tmp_path):
     assert nulls > 0
 
 
-def test_readme_thermo_invocations_pass(tmp_path):
+def test_thermo_overflowing_moments_exit_one(capsys):
+    # <c^2> of this tail passes the largest float at every grid point: one
+    # error line names the first beta, with no warning and no traceback
+    assert main(["thermo", "--model", "tail:mu=1.9,c0=1e170",
+                 "--beta-grid", "1e-180:1e-175:5"]) == 1
+    assert capsys.readouterr().err == (
+        "prodstat: thermal moments at beta = 1e-180 overflow a float\n")
+
+
+def test_readme_prodstat_invocations_pass(tmp_path, monkeypatch):
+    # every prodstat line of the README's sh blocks, continuations joined,
+    # run where panel.csv and the README's scenario block are at hand
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-             for line in block.splitlines()
-             if line.startswith("prodstat thermo ")]
-    assert len(lines) == 3
-    for i, line in enumerate(lines):
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("prodstat ")]
+    assert len(lines) == 7
+    write_panel(tmp_path / "panel.csv", n_firms=1500, mu=2.2, nu=2.0,
+                weight_exp=-0.5, seed=21, years=range(1999, 2006))
+    scenario = re.search(r"```\n(n_firms = .*?)```", readme, re.S).group(1)
+    (tmp_path / "scenario.txt").write_text(scenario)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
         argv = shlex.split(line)[1:]
-        out = tmp_path / f"readme{i}.json"
-        argv[argv.index("--out") + 1] = str(out)
         assert main(argv) == 0, line
-        assert json.loads(out.read_text())["passed"] is True
+        if argv[0] == "thermo":
+            report = Path(argv[argv.index("--out") + 1])
+        elif argv[0] == "simulate":
+            report = Path(argv[argv.index("--out-dir") + 1]) / "report.json"
+        else:
+            continue
+        assert json.loads(report.read_text())["passed"] is True, line
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

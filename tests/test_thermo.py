@@ -418,6 +418,17 @@ def test_check_model_is_the_cli_report(spec, m, tmp_path):
     assert limits["high_ok"] is False
 
 
+@pytest.mark.parametrize("spec,m", README_MODELS,
+                         ids=[spec for spec, _ in README_MODELS])
+def test_parse_model_builds_the_library_model(spec, m):
+    parsed = thermo.parse_model(spec)
+    for field in ("mu_f", "c0", "mean0", "m2", "floor", "scale", "low_exp",
+                  "rate", "tail_q"):
+        assert getattr(parsed, field) == getattr(m, field)
+    with pytest.raises(ValueError, match="wants each of"):
+        thermo.parse_model(spec + ",extra=1")
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         ThermoModel.from_gb2(gb2.Gb2Params(0.9, 1.0, 1.0, 1.0))  # mean diverges
