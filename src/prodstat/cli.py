@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -158,10 +159,9 @@ def _weights(samples: np.ndarray, target: str) -> np.ndarray | None:
 
 
 def _exclusion_summary(load, build) -> dict:
-    counts = dict(build.counts)
-    for e in load.exclusions:
-        counts[e.reason] = counts.get(e.reason, 0) + 1
-    return {"counts": counts,
+    counts = Counter(build.exclusions["reason"].tolist()
+                     + [e.reason for e in load.exclusions])
+    return {"counts": dict(counts),
             "malformed_rows": len(load.errors),
             "top_productivities": list(build.top_productivities)}
 

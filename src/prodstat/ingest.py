@@ -9,25 +9,26 @@ does not become a sample lands in an exclusion ledger with a reason;
 nothing is dropped silently, and |records| = |samples| + |exclusions|
 on every build.
 
-Records and samples are numpy structured arrays, one row per firm-year
-in input order, so a slice of the panel is a boolean mask.  Records
-have the CSV's columns; samples have firm_id, year, sector_code,
-sector_class, c and weight_workers (the averaged workforce, used as
-the fit weight).  sector_class holds the CSV code, M or N.
+Records, samples and the build-stage exclusion ledger are numpy
+structured arrays, one row per firm-year in input order, so a slice of
+the panel is a boolean mask.  Records have the CSV's columns; samples
+have firm_id, year, sector_code, sector_class, c and weight_workers
+(the averaged workforce, used as the fit weight); the ledger has
+firm_id, year and reason.  sector_class holds the CSV code, M or N.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
 sector class) are errors and become fatal past 1% of data rows; rows
 that parse but violate a domain rule (zero workers, sector code out of
-range) are reported as load-stage exclusions and never fatal.
+range) are load-stage exclusions and never fatal.  Both kinds are rare
+rejected rows, kept as tuples of RowError and Exclusion records.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from .errors import EmptyYear, SchemaError, TooManyBadRows
 
 SCHEMA_V1 = ("firm_id", "year", "sector_code", "sector_class",
              "value_added", "workers_eoy")
-_COLUMN_TYPES = (str, np.int64, np.int64, "U1", np.float64, np.int64)
 _BAD_ROW_FRACTION = 0.01
 _N_SECTORS = 26
 _INT_LIMIT = 2 ** 62    # keeps year - 1 and the two-year workforce sum in int64
@@ -52,8 +52,8 @@ R_CAP = "above productivity cap"
 R_DUPLICATE = "duplicate firm-year"
 
 # build-stage reasons in precedence order; code 0 marks a sample
-_BUILD_REASONS = ("", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE, R_MIN_WORKERS,
-                  R_CAP)
+_BUILD_REASONS = np.array(["", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE,
+                           R_MIN_WORKERS, R_CAP])
 
 CLASS_CODES = ("M", "N")
 
@@ -93,9 +93,8 @@ class LoadResult:
 @dataclass(frozen=True)
 class BuildResult:
     samples: np.ndarray                   # structured, in record order
-    exclusions: tuple[Exclusion, ...]
-    counts: dict = field(default_factory=dict)    # reason -> count
-    top_productivities: tuple[float, ...] = ()    # warn list when no cap set
+    exclusions: np.ndarray                # structured (firm_id, year, reason)
+    top_productivities: tuple[float, ...]  # warn list when no cap set
 
 
 def _table(**columns: np.ndarray) -> np.ndarray:
@@ -128,65 +127,63 @@ def load_csv(path) -> LoadResult:
                 parts.append("columns out of order")
             raise SchemaError("header mismatch; " + "; ".join(parts))
 
-        columns: tuple[list, ...] = tuple([] for _ in SCHEMA_V1)
+        rows: list[tuple] = []
         errors: list[RowError] = []
         exclusions: list[Exclusion] = []
-        n_rows = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            n_rows += 1
-            problem = _parse_row(row, columns, exclusions)
-            if problem is not None:
-                errors.append(RowError(line_no, problem))
+            try:
+                values, reason = _parse_row(row)
+            except ValueError as exc:
+                errors.append(RowError(line_no, str(exc)))
+                continue
+            if reason is None:
+                rows.append(values)
+            else:
+                exclusions.append(Exclusion(values[0], values[1], reason))
+    n_rows = len(rows) + len(errors) + len(exclusions)
     if errors and len(errors) > _BAD_ROW_FRACTION * n_rows:
         raise TooManyBadRows(
             f"{len(errors)} malformed rows out of {n_rows} "
             f"(threshold {_BAD_ROW_FRACTION:.0%}); first: "
             f"line {errors[0].line_no}: {errors[0].message}")
-    records = _table(**{name: np.array(col, dtype=kind) for name, kind, col
-                        in zip(SCHEMA_V1, _COLUMN_TYPES, columns)})
+    id_width = max((len(values[0]) for values in rows), default=1)
+    kinds = (f"U{id_width}", np.int64, np.int64, "U1", np.float64, np.int64)
+    records = np.array(rows, dtype=list(zip(SCHEMA_V1, kinds)))
     return LoadResult(records=records, errors=tuple(errors),
                       exclusions=tuple(exclusions))
 
 
-def _parse_row(row, columns, exclusions) -> str | None:
-    """Append to columns or exclusions; return a message if malformed."""
+def _parse_row(row) -> tuple[tuple, str | None]:
+    """The row's values in SCHEMA_V1 order and its load-stage exclusion
+    reason or None; ValueError with the message if malformed."""
     if len(row) != len(SCHEMA_V1):
-        return f"expected {len(SCHEMA_V1)} fields, got {len(row)}"
+        raise ValueError(f"expected {len(SCHEMA_V1)} fields, got {len(row)}")
     firm_id, year_s, code_s, class_s, value_s, workers_s = (x.strip() for x in row)
     if not firm_id:
-        return "empty firm_id"
+        raise ValueError("empty firm_id")
     try:
         year = int(year_s)
         code = int(code_s)
         workers = int(workers_s)
     except ValueError:
-        return "non-integer year, sector_code, or workers_eoy"
+        raise ValueError("non-integer year, sector_code, or workers_eoy") from None
     try:
         value = float(value_s)
     except ValueError:
-        return f"bad value_added {value_s!r}"
+        raise ValueError(f"bad value_added {value_s!r}") from None
     if value != value:
-        return "value_added is NaN"
+        raise ValueError("value_added is NaN")
     if math.isinf(value):
-        return f"value_added {value_s!r} is infinite"
+        raise ValueError(f"value_added {value_s!r} is infinite")
     if class_s not in CLASS_CODES:
-        return f"unknown sector_class {class_s!r} (want M or N)"
-    if workers == 0:
-        exclusions.append(Exclusion(firm_id, year, R_ZERO_WORKERS))
-        return None
-    if workers < 0:
-        exclusions.append(Exclusion(firm_id, year, R_NEGATIVE_WORKERS))
-        return None
-    if not 1 <= code <= _N_SECTORS:
-        exclusions.append(Exclusion(firm_id, year, R_SECTOR_RANGE))
-        return None
-    if abs(year) >= _INT_LIMIT or workers >= _INT_LIMIT:
-        return "year or workers_eoy out of range"
-    for col, item in zip(columns, (firm_id, year, code, class_s, value, workers)):
-        col.append(item)
-    return None
+        raise ValueError(f"unknown sector_class {class_s!r} (want M or N)")
+    reason = (R_ZERO_WORKERS if workers == 0 else R_NEGATIVE_WORKERS if workers < 0
+              else None if 1 <= code <= _N_SECTORS else R_SECTOR_RANGE)
+    if reason is None and (abs(year) >= _INT_LIMIT or workers >= _INT_LIMIT):
+        raise ValueError("year or workers_eoy out of range")
+    return (firm_id, year, code, class_s, value, workers), reason
 
 
 def build_samples(records: np.ndarray,
@@ -222,12 +219,10 @@ def build_samples(records: np.ndarray,
     code = np.select([dup, prior < 0, c <= 0.0, l_bar < filters.min_workers,
                       c > cap], np.arange(1, len(_BUILD_REASONS)), 0)
 
-    out = np.flatnonzero(code)
-    exclusions = tuple(
-        Exclusion(firm_id, yr, _BUILD_REASONS[k]) for firm_id, yr, k in zip(
-            records["firm_id"][out].tolist(), year[out].tolist(),
-            code[out].tolist()))
     keep = code == 0
+    out = ~keep
+    exclusions = _table(firm_id=records["firm_id"][out], year=year[out],
+                        reason=_BUILD_REASONS[code[out]])
     samples = _table(firm_id=records["firm_id"][keep], year=year[keep],
                      sector_code=records["sector_code"][keep],
                      sector_class=records["sector_class"][keep],
@@ -236,7 +231,6 @@ def build_samples(records: np.ndarray,
     if filters.max_productivity is None:
         top = tuple(np.sort(samples["c"])[::-1][:10].tolist())
     return BuildResult(samples=samples, exclusions=exclusions,
-                       counts=dict(Counter(e.reason for e in exclusions)),
                        top_productivities=top)
 
 

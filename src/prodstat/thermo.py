@@ -233,7 +233,8 @@ def _laplace(m: ThermoModel, beta: float, orders) -> tuple[list, float]:
     r = beta + m.rate
     x_lo = (math.log(min(m.scale, 1.0 / r))
             - _TAIL_EFOLDS / (min(orders) + m.low_exp))
-    x_hi = math.log((_TAIL_EFOLDS + 4.0 * (max(orders) + m.low_exp + 1.0)) / r)
+    # a difference of logs: the quotient overflows for r near the normal floor
+    x_hi = math.log(_TAIL_EFOLDS + 4.0 * (max(orders) + m.low_exp + 1.0)) - math.log(r)
     n = np.asarray(orders, dtype=np.float64)[:, None]
     floor = m.floor
     peak = None
@@ -402,6 +403,9 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
             or np.any(np.diff(grid) <= 0.0)):
         raise ValueError(
             "beta_grid must be finite, positive and strictly increasing")
+    # below the normal floats the finite-difference step underflows to 0
+    if grid[0] < np.finfo(np.float64).tiny:
+        raise ValueError(f"beta_grid point {float(grid[0])!r} is not a normal float")
 
     var_floor, d_floor = 1e-10, 1e-10 * m.mean0
     points = []
@@ -420,7 +424,8 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
 
         denom = max(abs(dd_dt_fd), abs(dd_dt_var))
         rel = abs(dd_dt_fd - dd_dt_var) / denom if denom > 0.0 else 0.0
-        agree = rel <= _VAR_AGREEMENT or denom <= var_floor
+        agree = (not (math.isnan(dd_dt_fd) or math.isnan(dd_dt_var))
+                 and (rel <= _VAR_AGREEMENT or denom <= var_floor))
         nonneg = dd_dt_var >= -var_floor
         noninc = d_mid <= prev_demand * (1.0 + 1e-12) + d_floor
         points.append(MonotonicityPoint(

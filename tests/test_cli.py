@@ -162,6 +162,37 @@ def test_infinite_value_added_is_one_malformed_row(super_panel, tmp_path):
     assert payload["n_samples_in_slice"] == 1499
 
 
+def test_fit_exclusion_summary_merges_both_ledgers(tmp_path):
+    path = write_panel(tmp_path / "mixed.csv", n_firms=1500, mu=2.2, nu=2.0,
+                       weight_exp=-0.5, seed=23, years=(1999, 2000))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("Z0,2000,3,M,50.0,0\n"        # load: zero workers
+                 "Z1,2000,27,M,50.0,5\n"       # load: sector out of range
+                 "Z2,2000,3,M,abc,5\n"         # malformed
+                 "Z3,1999,3,M,40.0,4\n"        # build: no prior
+                 "Z3,2000,3,M,-1.0,4\n"        # build: nonpositive
+                 "Z3,2000,3,M,999.0,4\n")      # build: duplicate
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(path), "--year", "2000",
+                 "--class", "M", "--target", "firms", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_samples_in_slice"] == 1500
+    summary = payload["exclusions"]
+    assert summary["counts"] == {"no prior-year workers": 1501,
+                                 "nonpositive value added": 1,
+                                 "duplicate firm-year": 1,
+                                 "zero workers": 1,
+                                 "sector_code out of range": 1}
+    assert summary["malformed_rows"] == 1
+    # the ten largest c = Y / mean(L_2000, L_1999) of the panel's firms
+    rows = [line.split(",") for line in
+            path.read_text().splitlines()[1:3001]]
+    prior = {r[0]: int(r[5]) for r in rows if r[1] == "1999"}
+    c = [float(r[4]) / (0.5 * (int(r[5]) + prior[r[0]]))
+         for r in rows if r[1] == "2000"]
+    assert summary["top_productivities"] == sorted(c, reverse=True)[:10]
+
+
 def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     out_json = tmp_path / "idx.json"
     out_tsv = tmp_path / "idx.tsv"
@@ -561,7 +592,10 @@ def test_thermo_bad_model_exit_one(capsys):
     ("exponential:mean=1e-5", 0, ""),
     ("tail:mu=1.5,c0=1e-100", 0, ""),
     ("gb2:mu=1.5,nu=1.0,q=1.0,c1=1e-100", 0, ""),
-    ("tail:mu=1.5,c0=1e300", 1, "beta_lo = 1e-309 is not a positive normal float")])
+    ("tail:mu=1.5,c0=1e300", 1, "beta_lo = 1e-309 is not a positive normal float"),
+    # beta_lo = 1e-307 is normal, but the moments there pass the largest float
+    ("tail:mu=1.5,c0=1e298", 1,
+     "prodstat: thermal moments at beta = 1.0000000000000001e-307 overflow a float\n")])
 def test_thermo_models_far_from_unit_scale(model, code, message, tmp_path,
                                            capsys):
     out = tmp_path / "t.json"
@@ -604,6 +638,13 @@ def test_thermo_overflowing_moments_exit_one(capsys):
                  "--beta-grid", "1e-180:1e-175:5"]) == 1
     assert capsys.readouterr().err == (
         "prodstat: thermal moments at beta = 1e-180 overflow a float\n")
+
+
+def test_thermo_subnormal_grid_beta_exit_one(capsys):
+    assert main(["thermo", "--model", "exponential:mean=1.0",
+                 "--beta-grid", "5e-324:1e-300:3"]) == 1
+    assert capsys.readouterr().err == (
+        "prodstat: beta_grid point 5e-324 is not a normal float\n")
 
 
 def test_readme_prodstat_invocations_pass(tmp_path, monkeypatch):

@@ -1,8 +1,13 @@
 """Panel CSV loading, sample construction with the exclusion ledger,
 sector aggregation, and rank-size points."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +38,42 @@ def test_load_basic(tmp_path):
     assert rec["firm_id"] == "A"
     assert rec["workers_eoy"] == 10
     assert result.records.dtype.names == ingest.SCHEMA_V1
+
+
+def test_records_dtype(tmp_path):
+    # firm_id is as wide as the longest id, and 1 wide with no records
+    result = load_csv(_write(tmp_path, "A,2000,3,M,120.0,10\n"
+                                       "FIRM7,2000,7,N,80.0,4\n"
+                                       "B,2000,7,N,8.0,0\n"))
+    assert result.records.dtype.descr == [
+        ("firm_id", "<U5"), ("year", "<i8"), ("sector_code", "<i8"),
+        ("sector_class", "<U1"), ("value_added", "<f8"), ("workers_eoy", "<i8")]
+    assert result.records.tolist() == [("A", 2000, 3, "M", 120.0, 10),
+                                       ("FIRM7", 2000, 7, "N", 80.0, 4)]
+    empty = load_csv(_write(tmp_path, "LONGNAME,2000,3,M,1.0,0\n", "e.csv"))
+    assert len(empty.records) == 0
+    assert empty.records.dtype["firm_id"] == np.dtype("<U1")
+    build = build_samples(empty.records)
+    assert len(build.samples) == len(build.exclusions) == 0
+
+
+def test_parse_row():
+    assert ingest._parse_row([" A", "2000", "3", "M", "1.5", "4 "]) == (
+        ("A", 2000, 3, "M", 1.5, 4), None)
+    assert ingest._parse_row(["A", "2000", "3", "M", "1.5", "0"]) == (
+        ("A", 2000, 3, "M", 1.5, 0), ingest.R_ZERO_WORKERS)
+    with pytest.raises(ValueError, match="^unknown sector_class 'Q'"):
+        ingest._parse_row(["A", "2000", "3", "Q", "1.5", "0"])
+
+
+def test_ingest_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, prodstat.ingest; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "[]\n"
 
 
 def test_missing_column_named(tmp_path):
@@ -156,7 +197,8 @@ def test_build_samples_averaging(tmp_path):
     assert s["year"] == 2001
     assert s["c"] == pytest.approx(150.0 / 12.0)
     assert s["weight_workers"] == pytest.approx(12.0)
-    assert build.counts == {"no prior-year workers": 1}
+    assert dict(Counter(build.exclusions["reason"].tolist())) == {
+        "no prior-year workers": 1}
 
 
 def test_build_samples_exclusion_reasons(tmp_path):
@@ -170,10 +212,11 @@ def test_build_samples_exclusion_reasons(tmp_path):
     build = build_samples(load_csv(path).records,
                           FilterConfig(min_workers=2.0, max_productivity=1e6))
     assert len(build.samples) == 0
-    assert build.counts["nonpositive value added"] == 1
-    assert build.counts["below minimum workers"] == 1
-    assert build.counts["above productivity cap"] == 1
-    assert build.counts["no prior-year workers"] == 3
+    counts = Counter(build.exclusions["reason"].tolist())
+    assert counts["nonpositive value added"] == 1
+    assert counts["below minimum workers"] == 1
+    assert counts["above productivity cap"] == 1
+    assert counts["no prior-year workers"] == 3
 
 
 def test_build_samples_duplicate_first_wins(tmp_path):
@@ -184,7 +227,7 @@ def test_build_samples_duplicate_first_wins(tmp_path):
     build = build_samples(load_csv(path).records)
     assert len(build.samples) == 1
     assert build.samples[0]["c"] == pytest.approx(11.0)
-    assert build.counts["duplicate firm-year"] == 1
+    assert Counter(build.exclusions["reason"].tolist())["duplicate firm-year"] == 1
 
 
 def test_count_conservation(tmp_path):
@@ -284,19 +327,28 @@ def test_mixed_panel_ledger(tmp_path):
     build = build_samples(load.records, filters)
     assert [e.reason for e in load.exclusions] == [ingest.R_ZERO_WORKERS,
                                                    ingest.R_SECTOR_RANGE]
-    assert build.counts == {"duplicate firm-year": 2,
-                            "no prior-year workers": 7,
-                            "nonpositive value added": 1,
-                            "below minimum workers": 1,
-                            "above productivity cap": 1}
+    assert dict(Counter(build.exclusions["reason"].tolist())) == {
+        "duplicate firm-year": 2,
+        "no prior-year workers": 7,
+        "nonpositive value added": 1,
+        "below minimum workers": 1,
+        "above productivity cap": 1}
     assert len(load.records) == len(build.samples) + len(build.exclusions)
+    assert [f.name for f in dataclasses.fields(build)] == [
+        "samples", "exclusions", "top_productivities"]
+    # the build ledger is the records that are not samples, in record order
+    assert build.exclusions.dtype.names == ("firm_id", "year", "reason")
+    assert build.exclusions[["firm_id", "year"]].tolist() == [
+        ("A", 2000), ("A", 2001), ("B", 2001), ("C", 1999), ("C", 2000),
+        ("C", 2001), ("D", 2001), ("E", 2000), ("E", 2001), ("E", 2002),
+        ("F", 2003), ("F", 2001)]
     assert build.samples["firm_id"].tolist() == ["A", "E", "F"]
     assert build.samples["c"].tolist() == [10.0, 10.0, 4.0]
     assert build.samples["weight_workers"].tolist() == [11.0, 3.0, 3.0]
     assert build.samples["sector_class"].tolist() == ["M", "M", "M"]
     assert build.top_productivities == ()
     ref_samples, ref_reasons = _reference_build(load.records, filters)
-    assert [e.reason for e in build.exclusions] == ref_reasons
+    assert build.exclusions["reason"].tolist() == ref_reasons
     assert [(s[0], s[1], s[4], s[5])
             for s in build.samples.tolist()] == ref_samples
 
@@ -313,8 +365,9 @@ def test_build_matches_reference_loop(tmp_path):
                                                  max_productivity=8.0)):
         build = build_samples(load.records, filters)
         ref_samples, ref_reasons = _reference_build(load.records, filters)
-        assert [e.reason for e in build.exclusions] == ref_reasons
-        assert build.counts == dict(Counter(ref_reasons))
+        assert build.exclusions["reason"].tolist() == ref_reasons
+        assert dict(Counter(build.exclusions["reason"].tolist())) == dict(
+            Counter(ref_reasons))
         got = [(s[0], s[1], s[4], s[5]) for s in build.samples.tolist()]
         assert got == ref_samples
         assert len(load.records) == len(build.samples) + len(build.exclusions)

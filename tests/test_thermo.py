@@ -352,6 +352,23 @@ def test_monotonicity_exponential():
         thermo.check_monotonicity(m, [1e-3, np.inf])
 
 
+def test_monotonicity_refuses_subnormal_beta():
+    # the finite-difference step 2 beta 1e-4 underflows to 0 below the
+    # normal floats, which leaves dD/dT NaN
+    m = ThermoModel.exponential(1.0)
+    with pytest.raises(ValueError, match="point 5e-324 is not a normal float"):
+        thermo.check_monotonicity(m, [5e-324, 1e-300])
+
+
+def test_monotonicity_nan_route_fails_its_point(monkeypatch):
+    m = ThermoModel.exponential(1.0)
+    monkeypatch.setattr(thermo, "demand", lambda model, beta: math.nan)
+    report = thermo.check_monotonicity(m, [0.5, 1.0])
+    assert all(math.isnan(p.dd_dt_fd) for p in report.points)
+    assert [p.passed for p in report.points] == [False, False]
+    assert not report.all_passed
+
+
 def test_monotonicity_exponential_variance_closed_form():
     # beta^2 Var_beta(c) = (beta / (1 + beta))^2 for the unit exponential
     m = ThermoModel.exponential(1.0)
