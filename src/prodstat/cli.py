@@ -203,8 +203,7 @@ def _parse_years(spec: str) -> range:
 _INDEX_COLUMNS = ["year", "mu_f", "mu_f_stderr", "mu_w", "mu_w_stderr",
                   "gamma", "delta", "kappa", "kappa_stderr", "regime"]
 # gb2.FitResult fields an index entry carries as firm_<f> and worker_<f>
-_INDEX_FIT_FIELDS = ("converged", "n_evaluations", "bootstrap_converged",
-                     "mu_stderr_hessian")
+_INDEX_FIT_FIELDS = ("converged", "n_evaluations")
 
 
 def _cmd_index(args) -> int:

@@ -17,9 +17,10 @@ deterministic starts; the best path wins (the globalisation step).  The
 data enter the likelihood only through weighted softplus sums, so the
 objective, score and Hessian cost one fused pass over the data
 (kernels.softplus_wsum) plus digamma and trigamma of the log-beta
-arguments.  The bootstrap stderr of mu refits each resampled replicate
-with the same damped-Newton path, warm-started at the point estimate,
-and uses only the replicates that converged.
+arguments.  The stderr of mu is the robust (sandwich) covariance
+H^-1 J H^-1 of an M-estimator at the optimum (White 1982, Econometrica
+50:1): H is the winning path's Hessian, J the sum over observations of
+their outer products of weighted scores, from one pass over the data.
 Per-observation weights make worker-side fits (weight = employee count)
 identical in law to exploding each firm into that many observations, at
 a fraction of the cost.
@@ -31,14 +32,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, digamma, zeta
+from scipy.special import betainc, digamma, expit, zeta
 
 from . import kernels
 from .errors import InsufficientData
 
 _MIN_OBS = 100               # fits below this are refused
-_N_BOOTSTRAP = 200           # replicates behind mu_stderr
-_BOOTSTRAP_SEED = 20240917   # fixed so repeated fits are reproducible
 _THETA_BOUND = 30.0          # |log parameter| guard against degeneracy
 _NEWTON_TOL = 1e-10          # stop when decrement^2 / 2 <= tol * (1 + |f|)
 _NEWTON_MAX_ITER = 50        # Newton step cap per path
@@ -73,16 +72,12 @@ class FitResult:
     converged: bool
     n_iterations: int
     n_evaluations: int
-    bootstrap_converged: int
-    mu_stderr_hessian: float
 
     def __post_init__(self):
         if self.converged and not math.isfinite(self.log_likelihood):
             raise ValueError("converged fit must have finite log-likelihood")
         if not self.mu_stderr >= 0.0:
             raise ValueError("mu_stderr must be >= 0")
-        if not self.mu_stderr_hessian >= 0.0:
-            raise ValueError("mu_stderr_hessian must be >= 0")
 
 
 def log_beta(s: float, t: float) -> float:
@@ -235,6 +230,30 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     return f, g, h
 
 
+def _nll_scores(theta: np.ndarray, lc: np.ndarray) -> np.ndarray:
+    """Per-value scores: row v is the gradient in theta of -ln p(c_v),
+    lc_v = ln c_v.  In the notation of _nll_derivatives, with
+    d = lc - ln c1, t = q d, sp = softplus(t) and s = sigmoid(t), the row
+    is [gu + a sp, gv - nu d + b sp, -(gu + gv + 1) + m (q s d - sp),
+    nu - m q s]; the weighted column sums are _nll_derivatives' g."""
+    lmu, lnu, lq, lc1 = theta
+    nu = math.exp(lnu)
+    q = math.exp(lq)
+    a = math.exp(lmu) / q
+    b = nu / q
+    m = a + b
+    psi_a, psi_b, psi_m = digamma([a, b, m])
+    gu = a * (psi_a - psi_m)
+    gv = b * (psi_b - psi_m)
+    d = lc - lc1
+    t = q * d
+    sp = kernels.softplus(t)
+    s = expit(t)
+    return np.column_stack([gu + a * sp, gv - nu * d + b * sp,
+                            -(gu + gv + 1.0) + m * (q * s * d - sp),
+                            nu - m * q * s])
+
+
 def _damped_newton_step(g: np.ndarray, h: np.ndarray):
     """Newton step on H + lam*I with the smallest lam in a tenfold ladder
     (0, then 1e-8 * max|diag H| upward) that makes it positive definite.
@@ -359,17 +378,13 @@ def fit_mle(c, weights=None) -> FitResult:
     -------
     FitResult with the fitted parameters and weighted log-likelihood;
     converged, the winning path's convergence; n_iterations, the Newton
-    steps of all start paths (bootstrap excluded); n_evaluations, every
-    likelihood pass the fit made (fused passes of the start paths and
-    the bootstrap); mu_stderr, the standard deviation of mu
-    over the converged ones of 200 nonparametric bootstrap replicates
-    (observations resampled uniformly, carrying their weights), each
-    refit by a damped-Newton path warm-started at the point estimate,
-    inf when fewer than two converged; bootstrap_converged, how many
-    replicates converged; and mu_stderr_hessian, the observed-information
-    stderr of mu from the Newton Hessian at the optimum, with the
-    weights rescaled to sum to the observation count (inf when that
-    Hessian is not positive definite).
+    steps of all start paths; n_evaluations, the fused likelihood passes
+    of all start paths; and mu_stderr, the sandwich stderr of mu at the
+    optimum: the delta method on the (ln mu, ln mu) entry of
+    H^-1 J H^-1, where H is the winning path's Hessian and J sums each
+    observation's outer product of its weighted score, so that each
+    observation (firm) is one sampling unit.  Scaling all weights leaves
+    it unchanged.  It is inf when that Hessian is not positive definite.
 
     Raises
     ------
@@ -411,58 +426,26 @@ def fit_mle(c, weights=None) -> FitResult:
     theta_hat = best.theta
     params = Gb2Params(*(math.exp(t) for t in theta_hat))
 
-    mu_stderr, n_boot_ok, n_boot_passes = _bootstrap_mu_stderr(
-        theta_hat, lc, inv, w, n_obs)
-
     return FitResult(params=params, log_likelihood=-best.f, n_obs=n_obs,
-                     mu_stderr=mu_stderr, converged=best.converged,
+                     mu_stderr=_mu_stderr(theta_hat, best.hess, lc,
+                                          np.bincount(inv, weights=w * w)),
+                     converged=best.converged,
                      n_iterations=sum(path.n_iterations for path in paths),
-                     n_evaluations=(sum(path.n_passes for path in paths)
-                                    + n_boot_passes),
-                     bootstrap_converged=n_boot_ok,
-                     mu_stderr_hessian=_mu_stderr_hessian(
-                         theta_hat, best.hess, n_obs / w_total))
+                     n_evaluations=sum(path.n_passes for path in paths))
 
 
-def _mu_stderr_hessian(theta: np.ndarray, hess: np.ndarray | None,
-                       info_scale: float) -> float:
-    """Observed-information stderr of mu: the Hessian of the negative
-    log-likelihood in theta, times info_scale, inverted; mu = exp(theta[0])
-    carries the ln-mu variance by the delta method."""
+def _mu_stderr(theta: np.ndarray, hess: np.ndarray | None, lc: np.ndarray,
+               w2: np.ndarray) -> float:
+    """Sandwich stderr of mu at theta: the (ln mu, ln mu) entry of
+    H^-1 J H^-1, J = sum_v w2_v s_v s_v^T over the distinct values lc
+    with per-value scores s_v and summed squared weights w2_v, and
+    mu = exp(theta[0]) carries it by the delta method.  inf when hess is
+    None or not positive definite."""
     if hess is None:
         return math.inf
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return math.inf
-    var_lmu = np.linalg.inv(hess)[0, 0] / info_scale
+    var_lmu = float(w2 @ (_nll_scores(theta, lc) @ np.linalg.inv(hess)[0]) ** 2)
     return math.exp(theta[0]) * math.sqrt(var_lmu)
-
-
-def _bootstrap_mu_stderr(theta_hat: np.ndarray, lc: np.ndarray,
-                         inv: np.ndarray, w: np.ndarray, n_obs: int):
-    """Std of fitted mu over nonparametric bootstrap replicates.
-
-    Each replicate resamples the n_obs observations uniformly with
-    replacement (multinomial counts) and refits with a damped-Newton
-    path from the point estimate.  Returns (stderr over the converged
-    replicates, or inf when fewer than two converged; the number that
-    converged; the fused passes spent).
-    """
-    rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    mus = []
-    n_passes = 0
-    pvals = np.full(n_obs, 1.0 / n_obs)
-    n_unique = len(lc)
-    for _ in range(_N_BOOTSTRAP):
-        counts = rng.multinomial(n_obs, pvals)
-        wb = np.bincount(inv, weights=w * counts, minlength=n_unique)
-        drawn = wb > 0.0            # about 1/e of the values are not drawn
-        lc_b = lc[drawn]
-        wb = wb[drawn]
-        path = _newton(theta_hat, lc_b, wb, float(np.sum(wb)), float(wb @ lc_b))
-        n_passes += path.n_passes
-        if path.converged:
-            mus.append(math.exp(path.theta[0]))
-    stderr = float(np.std(mus, ddof=1)) if len(mus) >= 2 else math.inf
-    return stderr, len(mus), n_passes

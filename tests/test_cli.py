@@ -24,8 +24,7 @@ def _field_names(cls) -> set:
 
 # keys of an index year entry that has fits; the per-side fields are
 # gb2.FitResult fields
-INDEX_FIT_FIELDS = {"converged", "n_evaluations", "bootstrap_converged",
-                    "mu_stderr_hessian"}
+INDEX_FIT_FIELDS = {"converged", "n_evaluations"}
 INDEX_ENTRY_KEYS = ({"year", "mu_f", "mu_f_stderr", "mu_w", "mu_w_stderr",
                      "gamma", "delta", "kappa", "kappa_stderr", "regime"}
                     | {f"{side}_{name}" for side in ("firm", "worker")
@@ -89,9 +88,7 @@ def test_fit_json_structure(super_panel, tmp_path):
     assert fit["converged"] is True
     assert fit["n_obs"] == payload["n_samples_in_slice"]
     assert 1.5 < fit["params"]["mu"] < 3.0
-    assert fit["bootstrap_converged"] == 200
     assert fit["n_evaluations"] > fit["n_iterations"] > 0
-    assert 0.0 < fit["mu_stderr_hessian"] < 2.0 * fit["mu_stderr"]
     assert payload["exclusions"]["counts"]["no prior-year workers"] == 1500
 
 
@@ -207,14 +204,8 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
         assert set(row) == INDEX_ENTRY_KEYS
         assert row["regime"] == "Superstatistical"
         assert 0.0 < row["kappa"] < 1.0
-        # on this 1500-firm q=1 panel some worker-weighted replicates
-        # have no finite optimum (c1 runs off along a ridge); they are
-        # counted, not used
-        assert row["firm_bootstrap_converged"] == 200
-        assert 100 < row["worker_bootstrap_converged"] < 200
         for side in ("firm", "worker"):
             assert row[f"{side}_n_evaluations"] > 0
-            assert row[f"{side}_mu_stderr_hessian"] > 0.0
 
     # the index kappa must equal the algebra applied to cmd_fit outputs
     fits = {}
