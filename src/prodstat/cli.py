@@ -128,11 +128,10 @@ def _write_tsv(path: str, manifest: RunManifest, header: list[str],
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
-        return "nan"
+    """A TSV cell: nan where the JSON writes null (None, non-finite)."""
     if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        return repr(v) if math.isfinite(v) else "nan"
+    return "nan" if v is None else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,9 @@ def _cmd_index(args) -> int:
         print("index: no year produced an index: " + "; ".join(
             f"{e['year']}: {e['error']}" for e in series), file=sys.stderr)
         return 2
-    return 0
+    converged = all(e["firm_converged"] and e["worker_converged"]
+                    for e in series if "error" not in e)
+    return 0 if converged else 3
 
 
 # ---------------------------------------------------------------------------

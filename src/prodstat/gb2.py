@@ -18,9 +18,10 @@ data enter the likelihood only through weighted softplus sums, so the
 objective, score and Hessian cost one fused pass over the data
 (kernels.softplus_wsum) plus digamma and trigamma of the log-beta
 arguments.  The stderr of mu is the robust (sandwich) covariance
-H^-1 J H^-1 of an M-estimator at the optimum (White 1982, Econometrica
-50:1): H is the winning path's Hessian, J the sum over observations of
-their outer products of weighted scores, from one pass over the data.
+H^-1 J H^-1 of an M-estimator at a converged optimum (White 1982,
+Econometrica 50:1): H is the winning path's Hessian, J the sum over
+observations of their outer products of weighted scores, from one pass
+over the data.
 Per-observation weights make worker-side fits (weight = employee count)
 identical in law to exploding each firm into that many observations, at
 a fraction of the cost.
@@ -291,12 +292,13 @@ def _newton(theta0: np.ndarray, lc: np.ndarray, w: np.ndarray,
 
     Each step solves with the Hessian, shifted by lam*I until its
     Cholesky factorization succeeds, and halves the step until the
-    Armijo condition holds.  The path has converged when, at an
-    unshifted (positive-definite) Hessian, the Newton decrement
-    satisfies decrement^2 / 2 <= _NEWTON_TOL * (1 + |f|); scaling all
-    weights by a constant scales f and decrement^2 alike, so the test is
-    independent of the weight units.  A failed line search or the step
-    cap ends the path unconverged.
+    Armijo condition holds.  The path has converged when the unshifted
+    Hessian's Cholesky factorization succeeded (lam = 0) and the Newton
+    decrement satisfies decrement^2 / 2 <= _NEWTON_TOL * (1 + |f|);
+    scaling all weights by a constant scales f and decrement^2 alike, so
+    the test is independent of the weight units.  A converged path's
+    hess is therefore positive definite.  A failed line search or the
+    step cap ends the path unconverged.
     """
     theta = np.array(theta0, dtype=np.float64)
     f, g, h = _nll_derivatives(theta, lc, w, w_total, wlc_total)
@@ -384,7 +386,8 @@ def fit_mle(c, weights=None) -> FitResult:
     H^-1 J H^-1, where H is the winning path's Hessian and J sums each
     observation's outer product of its weighted score, so that each
     observation (firm) is one sampling unit.  Scaling all weights leaves
-    it unchanged.  It is inf when that Hessian is not positive definite.
+    it unchanged.  It is inf when the winning path did not converge,
+    where the score sum is not zero and the sandwich means nothing.
 
     Raises
     ------
@@ -426,26 +429,21 @@ def fit_mle(c, weights=None) -> FitResult:
     theta_hat = best.theta
     params = Gb2Params(*(math.exp(t) for t in theta_hat))
 
+    mu_stderr = (_mu_stderr(theta_hat, best.hess, lc,
+                            np.bincount(inv, weights=w * w))
+                 if best.converged else math.inf)
     return FitResult(params=params, log_likelihood=-best.f, n_obs=n_obs,
-                     mu_stderr=_mu_stderr(theta_hat, best.hess, lc,
-                                          np.bincount(inv, weights=w * w)),
-                     converged=best.converged,
+                     mu_stderr=mu_stderr, converged=best.converged,
                      n_iterations=sum(path.n_iterations for path in paths),
                      n_evaluations=sum(path.n_passes for path in paths))
 
 
-def _mu_stderr(theta: np.ndarray, hess: np.ndarray | None, lc: np.ndarray,
+def _mu_stderr(theta: np.ndarray, hess: np.ndarray, lc: np.ndarray,
                w2: np.ndarray) -> float:
-    """Sandwich stderr of mu at theta: the (ln mu, ln mu) entry of
-    H^-1 J H^-1, J = sum_v w2_v s_v s_v^T over the distinct values lc
-    with per-value scores s_v and summed squared weights w2_v, and
-    mu = exp(theta[0]) carries it by the delta method.  inf when hess is
-    None or not positive definite."""
-    if hess is None:
-        return math.inf
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        return math.inf
+    """Sandwich stderr of mu at a converged optimum theta with its
+    positive-definite Hessian: the (ln mu, ln mu) entry of H^-1 J H^-1,
+    J = sum_v w2_v s_v s_v^T over the distinct values lc with per-value
+    scores s_v and summed squared weights w2_v, and mu = exp(theta[0])
+    carries it by the delta method."""
     var_lmu = float(w2 @ (_nll_scores(theta, lc) @ np.linalg.inv(hess)[0]) ** 2)
     return math.exp(theta[0]) * math.sqrt(var_lmu)

@@ -28,7 +28,6 @@ from scipy.special import gammainc, gammaincc
 from .errors import RegimeError
 
 _FIXED_POINT_TOL = 1e-6     # |mu_f - 1| below this is the degenerate fixed point
-_KAPPA_CONSISTENCY = 1e-12  # kappa must equal 1/(2-delta) this tightly
 
 
 class Regime(str, Enum):
@@ -73,8 +72,6 @@ class DemandIndexPoint:
                 raise ValueError("superstatistical point needs gamma, delta < 1")
             if self.kappa is None or not (0.0 < self.kappa < 1.0):
                 raise ValueError("superstatistical kappa must lie in (0, 1)")
-            if abs(self.kappa - 1.0 / (2.0 - self.delta)) > _KAPPA_CONSISTENCY:
-                raise ValueError("kappa inconsistent with 1/(2 - delta)")
         elif self.regime is Regime.NEGATIVE_TEMPERATURE:
             if self.kappa is not None:
                 raise ValueError("negative-temperature point carries no kappa")
@@ -152,9 +149,10 @@ def mu_w_predicted(mu_f: float, delta: float) -> float:
 def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
     """Classify the regime of a fitted cell and derive (gamma, delta, kappa).
 
-    kappa = 1/(mu_w - mu_f + 1) for mu_f >= 2 and
-    (mu_f - 1)/(mu_w - 1) for 1 < mu_f < 2; its standard error comes
-    from first-order propagation of the two index stderrs.
+    kappa = 1/(2 - delta), and its stderr kappa^2 hypot(d_f s_f, d_w s_w)
+    treats the index stderrs s_f, s_w as independent; delta's gradient
+    (d_f, d_w) is (1, -1) for mu_f >= 2 and
+    ((mu_w - 1)/(mu_f - 1)^2, -1/(mu_f - 1)) below.
     """
     if p.mu_f <= 1.0 - _FIXED_POINT_TOL:
         raise ValueError(f"mu_f must exceed 1, got {p.mu_f!r}")
@@ -176,16 +174,15 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
                                 regime=Regime.FIXED_POINT_DEGENERATE)
 
     delta = delta_from_gamma(gamma, p.mu_f)
+    kappa = 1.0 / (2.0 - delta)
     if p.mu_f >= 2.0:
-        kappa = 1.0 / (p.mu_w - p.mu_f + 1.0)
-        # d(kappa)/d(mu_f) = kappa^2, d(kappa)/d(mu_w) = -kappa^2
-        var = kappa ** 4 * (p.mu_f_stderr ** 2 + p.mu_w_stderr ** 2)
+        d_f, d_w = 1.0, -1.0
     else:
-        kappa = (p.mu_f - 1.0) / (p.mu_w - 1.0)
-        var = ((p.mu_f_stderr / (p.mu_w - 1.0)) ** 2
-               + (kappa * p.mu_w_stderr / (p.mu_w - 1.0)) ** 2)
+        d_f, d_w = (p.mu_w - 1.0) / (p.mu_f - 1.0) ** 2, -1.0 / (p.mu_f - 1.0)
+    kappa_stderr = kappa * kappa * math.hypot(d_f * p.mu_f_stderr,
+                                              d_w * p.mu_w_stderr)
     return DemandIndexPoint(gamma=gamma, delta=delta, kappa=kappa,
-                            kappa_stderr=math.sqrt(var),
+                            kappa_stderr=kappa_stderr,
                             regime=Regime.SUPERSTATISTICAL)
 
 

@@ -51,6 +51,29 @@ def negtemp_panel(tmp_path_factory):
                            weight_exp=0.5, seed=22, years=(1999, 2000)))
 
 
+@pytest.fixture(scope="module")
+def unconverged_panel(tmp_path_factory):
+    # the worker fits of 2000 and 2001 end unconverged
+    path = tmp_path_factory.mktemp("panels") / "unconverged.csv"
+    return str(write_panel(path, n_firms=1500, mu=2.2, nu=2.0,
+                           weight_exp=-0.5, seed=22))
+
+
+def _assert_tsv_holds_json(tsv_path, series):
+    """The index TSV: manifest comment, header, one row per year holding
+    its JSON entry's values in header order, nan for null."""
+    lines = tsv_path.read_text().splitlines()
+    assert lines[0].startswith("# manifest: ")
+    header = lines[1].split("\t")
+    assert header[0] == "year"
+    assert len(lines) == 2 + len(series)
+    for line, entry in zip(lines[2:], series):
+        assert line.split("\t") == [
+            "nan" if entry[col] is None
+            else repr(entry[col]) if isinstance(entry[col], float)
+            else str(entry[col]) for col in header]
+
+
 def _scenario(tmp_path, **overrides):
     values = dict(n_firms=1500, n_workers_per_epoch=400, n_epochs=100,
                   seed=9, firm_mu=2.5, firm_nu=2.0, firm_q=1.0, firm_c1=1.0,
@@ -223,18 +246,39 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     assert abs(series[0]["kappa"] - point.kappa) < 1e-12
     assert abs(series[0]["kappa_stderr"] - point.kappa_stderr) < 1e-12
 
-    # TSV: manifest comment, header, one row per year holding the JSON
-    # entry's values in header order
-    lines = out_tsv.read_text().splitlines()
-    assert lines[0].startswith("# manifest: ")
-    header = lines[1].split("\t")
-    assert header[0] == "year"
-    assert len(lines) == 4
-    for line, entry in zip(lines[2:], series):
-        assert line.split("\t") == [
-            "nan" if entry[col] is None
-            else repr(entry[col]) if isinstance(entry[col], float)
-            else str(entry[col]) for col in header]
+    _assert_tsv_holds_json(out_tsv, series)
+
+
+def test_index_unconverged_fit_exit_three(unconverged_panel, tmp_path):
+    # both files are written; the TSV has nan where the JSON has null
+    out_json, out_tsv = tmp_path / "idx.json", tmp_path / "idx.tsv"
+    assert main(["index", "--input", unconverged_panel, "--years",
+                 "2000..2001", "--class", "M", "--out-json", str(out_json),
+                 "--out-tsv", str(out_tsv)]) == 3
+    series = json.loads(out_json.read_text())["series"]
+    assert [(e["firm_converged"], e["worker_converged"]) for e in series] \
+        == [(True, False), (True, False)]
+    assert all(e["mu_w_stderr"] is None and e["kappa_stderr"] is None
+               for e in series)
+    _assert_tsv_holds_json(out_tsv, series)
+
+
+def test_fit_unconverged_stderr_null_exit_three(unconverged_panel, tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", unconverged_panel, "--year", "2000",
+                 "--class", "M", "--target", "workers", "--out", str(out)]) == 3
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["converged"] is False
+    assert fit["mu_stderr"] is None
+
+
+def test_fit_without_out_writes_stdout(super_panel, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    args = ["fit", "--input", super_panel, "--year", "2000", "--class", "M",
+            "--target", "firms"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_index_negative_temperature(negtemp_panel, tmp_path):
@@ -255,6 +299,10 @@ def test_index_empty_range_exit_one(super_panel, capsys):
     assert main(["index", "--input", super_panel, "--years", "2000-2001",
                  "--class", "M"]) == 1
     capsys.readouterr()
+    assert main(["index", "--input", super_panel, "--years", "2000..x",
+                 "--class", "M"]) == 1
+    assert capsys.readouterr().err \
+        == "prodstat: --years wants integers, got '2000..x'\n"
 
 
 def test_index_missing_years_recorded(super_panel, tmp_path):

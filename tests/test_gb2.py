@@ -323,6 +323,18 @@ def test_sandwich_stderr_matches_per_observation_reference(weights):
                                           rel=1e-6)
 
 
+def test_unconverged_fit_has_infinite_stderr(tmp_path):
+    # the year-2000 worker fit of this panel ends unconverged, away from a
+    # stationary point, where the sandwich estimates nothing
+    path = write_panel(tmp_path / "panel.csv", n_firms=1500, mu=2.2, nu=2.0,
+                       weight_exp=-0.5, seed=22)
+    samples = ingest.build_samples(ingest.load_csv(path).records).samples
+    samples = samples[samples["year"] == 2000]
+    res = gb2.fit_mle(samples["c"], samples["weight_workers"])
+    assert not res.converged
+    assert res.mu_stderr == math.inf
+
+
 def test_n_evaluations_counts_kernel_passes(monkeypatch):
     calls = []
     softplus_wsum = kernels.softplus_wsum

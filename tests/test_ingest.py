@@ -90,6 +90,14 @@ def test_reordered_header_rejected(tmp_path):
         load_csv(path)
 
 
+def test_extra_column_named(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER.rstrip("\n") + ",region\n")
+    with pytest.raises(SchemaError) as info:
+        load_csv(path)
+    assert str(info.value) == "header mismatch; unexpected columns: region"
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -130,6 +138,36 @@ def test_malformed_rows_under_threshold(tmp_path):
     assert len(result.records) == 199
     assert len(result.errors) == 1
     assert result.errors[0].line_no == 201
+
+
+def test_blank_lines_skipped_and_not_counted(tmp_path):
+    # a blank line is no record and no row of the 1% rule, but line
+    # numbers count it
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    result = load_csv(_write(tmp_path, good + "\n" + "BAD,x,y,z,q,w\n"))
+    assert len(result.records) == 199
+    assert [(e.line_no, e.message) for e in result.errors] == [
+        (202, "non-integer year, sector_code, or workers_eoy")]
+    # 1 malformed row out of 51 is past 1%; counting 60 blank lines as
+    # rows would bring it under
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(50))
+    with pytest.raises(TooManyBadRows) as info:
+        load_csv(_write(tmp_path, "\n" * 60 + good + "BAD,x,y,z,q,w\n"))
+    assert str(info.value) == (
+        "1 malformed rows out of 51 (threshold 1%); first: line 112: "
+        "non-integer year, sector_code, or workers_eoy")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("X,2000,3,M,10.0", "expected 6 fields, got 5"),
+    ("X,2000,3,M,10.0,5,7", "expected 6 fields, got 7"),
+    (" ,2000,3,M,10.0,5", "empty firm_id"),
+])
+def test_row_shape_is_malformed(tmp_path, row, message):
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    result = load_csv(_write(tmp_path, good + row + "\n"))
+    assert len(result.records) == 199
+    assert [(e.line_no, e.message) for e in result.errors] == [(201, message)]
 
 
 def test_too_many_bad_rows(tmp_path):

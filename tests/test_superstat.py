@@ -86,7 +86,7 @@ def test_kappa_equals_inverse_two_minus_delta():
         pt = kappa_from_mus(ParetoIndices(mu_f=mu_f, mu_w=mu_w))
         gamma = gamma_from_mus(_indices(mu_f, mu_w))
         delta = delta_from_gamma(gamma, mu_f)
-        assert pt.kappa == pytest.approx(1.0 / (2.0 - delta), abs=1e-12)
+        assert pt.kappa == 1.0 / (2.0 - delta)
 
 
 def test_kappa_in_unit_interval():
