@@ -12,14 +12,14 @@ reg_inc_beta are domain-checked calls to math.lgamma and scipy's betainc.
 
 Fitting maximizes sum_i w_i ln p(c_i) over the log-transformed
 parameters theta = (ln mu, ln nu, ln q, ln c1) with damped Newton
-steps on the exact score and Hessian, one path from each of five
-deterministic starts; the best path wins (the globalisation step).  The
+steps on the exact score and Hessian, one path from a data-driven start
+(the rank-size tail slope for mu, the weighted median for c1).  The
 data enter the likelihood only through weighted softplus sums, so the
 objective, score and Hessian cost one fused pass over the data
 (kernels.softplus_wsum) plus digamma and trigamma of the log-beta
 arguments.  The stderr of mu is the robust (sandwich) covariance
 H^-1 J H^-1 of an M-estimator at a converged optimum (White 1982,
-Econometrica 50:1): H is the winning path's Hessian, J the sum over
+Econometrica 50:1): H is the Hessian at the optimum, J the sum over
 observations of their outer products of weighted scores, from one pass
 over the data.
 Per-observation weights make worker-side fits (weight = employee count)
@@ -40,8 +40,8 @@ from .errors import InsufficientData
 
 _MIN_OBS = 100               # fits below this are refused
 _THETA_BOUND = 30.0          # |log parameter| guard against degeneracy
-_NEWTON_TOL = 1e-10          # stop when decrement^2 / 2 <= tol * (1 + |f|)
-_NEWTON_MAX_ITER = 50        # Newton step cap per path
+_NEWTON_TOL = 1e-14          # stop when decrement^2 / 2 <= tol * (1 + |f|)
+_NEWTON_MAX_ITER = 50        # Newton step cap
 _ARMIJO = 1e-4               # sufficient-decrease fraction of the line search
 _MAX_BACKTRACK = 40          # step halvings before a line search gives up
 _MAX_DAMPING = 30            # tenfold increases of the Hessian shift
@@ -163,6 +163,20 @@ def tail_scale(p: Gb2Params) -> float:
 # fitting
 
 
+def _shape_terms(theta: np.ndarray):
+    """(nu, q, a, b, m, gu, gv) at theta = (ln mu, ln nu, ln q, ln c1):
+    a = mu/q, b = nu/q, m = a + b, and (gu, gv) the gradient of
+    ln B(a, b) in (ln a, ln b)."""
+    lmu, lnu, lq, _ = theta
+    nu = math.exp(lnu)
+    q = math.exp(lq)
+    a = math.exp(lmu) / q
+    b = nu / q
+    m = a + b
+    psi_a, psi_b, psi_m = digamma([a, b, m])
+    return nu, q, a, b, m, a * (psi_a - psi_m), b * (psi_b - psi_m)
+
+
 def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
                      w_total: float, wlc_total: float):
     """Negative weighted log-likelihood at theta = (ln mu, ln nu, ln q,
@@ -178,12 +192,8 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     """
     if np.max(np.abs(theta)) > _THETA_BOUND:
         return math.inf, None, None
-    lmu, lnu, lq, lc1 = theta
-    nu = math.exp(lnu)
-    q = math.exp(lq)
-    a = math.exp(lmu) / q
-    b = nu / q
-    m = a + b
+    _, _, lq, lc1 = theta
+    nu, q, a, b, m, gu, gv = _shape_terms(theta)
     k, k0, k1, h0, h1, h2 = kernels.softplus_wsum(lc, w, q, lc1)
     wt, st = w_total, wlc_total
     f = float(wt * (log_beta(a, b) - lq) - (nu - 1.0) * st + nu * wt * lc1
@@ -191,12 +201,9 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     if not math.isfinite(f):
         return math.inf, None, None
 
-    psi_a, psi_b, psi_m = digamma([a, b, m])
     # trigamma(x) = zeta(2, x); scipy's polygamma(1, x) wraps this call
     tri_a, tri_b, tri_m = zeta(2.0, [a, b, m])
     # ln B(a, b) as a function of (ln a, ln b)
-    gu = a * (psi_a - psi_m)
-    gv = b * (psi_b - psi_m)
     guu = gu + a * a * (tri_a - tri_m)
     gvv = gv + b * b * (tri_b - tri_m)
     guv = -a * b * tri_m
@@ -237,16 +244,8 @@ def _nll_scores(theta: np.ndarray, lc: np.ndarray) -> np.ndarray:
     d = lc - ln c1, t = q d, sp = softplus(t) and s = sigmoid(t), the row
     is [gu + a sp, gv - nu d + b sp, -(gu + gv + 1) + m (q s d - sp),
     nu - m q s]; the weighted column sums are _nll_derivatives' g."""
-    lmu, lnu, lq, lc1 = theta
-    nu = math.exp(lnu)
-    q = math.exp(lq)
-    a = math.exp(lmu) / q
-    b = nu / q
-    m = a + b
-    psi_a, psi_b, psi_m = digamma([a, b, m])
-    gu = a * (psi_a - psi_m)
-    gv = b * (psi_b - psi_m)
-    d = lc - lc1
+    nu, q, a, b, m, gu, gv = _shape_terms(theta)
+    d = lc - theta[3]
     t = q * d
     sp = kernels.softplus(t)
     s = expit(t)
@@ -349,16 +348,6 @@ def _weighted_median(values_sorted: np.ndarray, weights: np.ndarray) -> float:
     return float(values_sorted[min(idx, len(values_sorted) - 1)])
 
 
-# multiplicative perturbations of (mu, nu, q, c1) around the base start
-_START_FACTORS = (
-    (1.0, 1.0, 1.0, 1.0),
-    (1.6, 0.6, 1.4, 0.7),
-    (0.6, 1.6, 0.7, 1.4),
-    (2.2, 1.0, 0.5, 1.0),
-    (0.5, 2.2, 1.8, 1.0),
-)
-
-
 def fit_mle(c, weights=None) -> FitResult:
     """Weighted maximum-likelihood GB2 fit.
 
@@ -370,24 +359,22 @@ def fit_mle(c, weights=None) -> FitResult:
         Weights w > 0: None (unit weights) for firm fits, employee
         counts for worker-weighted fits.
 
-    A damped-Newton path on the exact score and Hessian runs from each
-    of five deterministic starts (rank-size tail slope for mu, weighted
-    median for c1, nu = q = 1, plus four fixed perturbations); the path
-    with the lowest objective wins, converged paths before unconverged
-    ones.  This globalises the fit.
+    One damped-Newton path on the exact score and Hessian runs from a
+    data-driven start: the rank-size tail slope for mu, the weighted
+    median for c1, and nu = q = 1.
 
     Returns
     -------
     FitResult with the fitted parameters and weighted log-likelihood;
-    converged, the winning path's convergence; n_iterations, the Newton
-    steps of all start paths; n_evaluations, the fused likelihood passes
-    of all start paths; and mu_stderr, the sandwich stderr of mu at the
-    optimum: the delta method on the (ln mu, ln mu) entry of
-    H^-1 J H^-1, where H is the winning path's Hessian and J sums each
+    converged, the path's convergence; n_iterations, the path's Newton
+    steps; n_evaluations, the path's fused likelihood passes, line-search
+    trial points included; and mu_stderr, the sandwich stderr of mu at
+    the optimum: the delta method on the (ln mu, ln mu) entry of
+    H^-1 J H^-1, where H is the Hessian at the optimum and J sums each
     observation's outer product of its weighted score, so that each
     observation (firm) is one sampling unit.  Scaling all weights leaves
-    it unchanged.  It is inf when the winning path did not converge,
-    where the score sum is not zero and the sandwich means nothing.
+    it unchanged.  It is inf when the path did not converge, where the
+    score sum is not zero and the sandwich means nothing.
 
     Raises
     ------
@@ -421,21 +408,16 @@ def fit_mle(c, weights=None) -> FitResult:
 
     mu0 = _tail_index_guess(uc[::-1], uw[::-1])
     c1_0 = _weighted_median(uc, uw)
-    base = np.log([mu0, 1.0, 1.0, c1_0])
-    starts = [base + np.log(fac) for fac in _START_FACTORS]
+    path = _newton(np.log([mu0, 1.0, 1.0, c1_0]), lc, uw, w_total, wlc_total)
+    params = Gb2Params(*(math.exp(t) for t in path.theta))
 
-    paths = [_newton(theta0, lc, uw, w_total, wlc_total) for theta0 in starts]
-    best = min(paths, key=lambda path: (not path.converged, path.f))
-    theta_hat = best.theta
-    params = Gb2Params(*(math.exp(t) for t in theta_hat))
-
-    mu_stderr = (_mu_stderr(theta_hat, best.hess, lc,
+    mu_stderr = (_mu_stderr(path.theta, path.hess, lc,
                             np.bincount(inv, weights=w * w))
-                 if best.converged else math.inf)
-    return FitResult(params=params, log_likelihood=-best.f, n_obs=n_obs,
-                     mu_stderr=mu_stderr, converged=best.converged,
-                     n_iterations=sum(path.n_iterations for path in paths),
-                     n_evaluations=sum(path.n_passes for path in paths))
+                 if path.converged else math.inf)
+    return FitResult(params=params, log_likelihood=-path.f, n_obs=n_obs,
+                     mu_stderr=mu_stderr, converged=path.converged,
+                     n_iterations=path.n_iterations,
+                     n_evaluations=path.n_passes)
 
 
 def _mu_stderr(theta: np.ndarray, hess: np.ndarray, lc: np.ndarray,

@@ -195,8 +195,8 @@ def parse_seed(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    if not float(text) > 0.0:
-        raise ValueError(f"must be > 0, got {text!r}")
+    if not 0.0 < float(text) < math.inf:
+        raise ValueError(f"must be > 0 and finite, got {text!r}")
     return float(text)
 
 
@@ -207,7 +207,7 @@ _SCENARIO_KEYS = {
     "firm_mu": float, "firm_nu": float, "firm_q": float, "firm_c1": float,
     "gamma": float, "beta_min": float, "beta_max": float,
     "fit_window_lo": _positive, "fit_window_hi": _positive,
-    "tolerance": float, "verify": _true_false}
+    "tolerance": _positive, "verify": _true_false}
 _OPTIONAL_KEYS = ("fit_window_lo", "fit_window_hi", "tolerance", "verify")
 
 
@@ -226,9 +226,10 @@ def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
     Keys mirror SimConfig: n_firms, n_workers_per_epoch, n_epochs, seed
     (>= 0; default_seed() is called for a scenario without one),
     firm_mu/nu/q/c1 and gamma/beta_min/beta_max.  Optional:
-    fit_window_lo and _hi (> 0; by default the widest window the beta
-    range admits, narrowed by 0.1%), tolerance, verify.  A malformed line, an unknown or repeated
-    key and a bad value raise ValueError naming path:line and the key.
+    fit_window_lo and _hi (finite and > 0; by default the widest window
+    the beta range admits, narrowed by 0.1%), tolerance (finite and > 0),
+    verify.  A malformed line, an unknown or repeated key and a bad value
+    raise ValueError naming path:line and the key.
     """
     v: dict = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):

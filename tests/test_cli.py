@@ -447,6 +447,7 @@ def test_simulate_bad_seed_environment(tmp_path, monkeypatch, capsys):
     ("n_firms", "1.5e3", 1, "n_firms: invalid literal for int()"),
     ("fit_window_lo", "-1", 12, "fit_window_lo: must be > 0"),
     ("seed", "-1", 4, "seed: must be >= 0, got '-1'"),
+    ("tolerance", "inf", 14, "tolerance: must be > 0 and finite, got 'inf'"),
 ])
 def test_simulate_bad_scenario_line_exits_one_before_output(
         tmp_path, capsys, key, value, line, message):

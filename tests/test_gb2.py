@@ -206,6 +206,15 @@ BOOTSTRAP_SPREAD = 0.024
 # the sandwich stderr of the same sample
 SANDWICH_MU_STDERR = 0.17650351928291502
 
+# multiplicative perturbations of (mu, nu, q, c1) around fit_mle's start,
+# which earlier versions ran as four more start paths of every fit
+FORMER_START_FACTORS = [
+    (1.6, 0.6, 1.4, 0.7),
+    (0.6, 1.6, 0.7, 1.4),
+    (2.2, 1.0, 0.5, 1.0),
+    (0.5, 2.2, 1.8, 1.0),
+]
+
 THETA_POINTS = [
     np.array([0.8, 0.7, 1.1, 0.05]),
     np.array([0.2, -0.5, 0.0, 0.3]),
@@ -257,18 +266,30 @@ def test_analytic_derivatives_match_finite_differences(theta, weights):
 
 
 def test_starts_reach_one_optimum():
-    # the five default starts, a path from the true law and a far start
-    res = gb2.fit_mle(_panel_sample())
-    assert res.converged
-    theta_hat = np.log([res.params.mu, res.params.nu, res.params.q,
-                        res.params.c1])
-    args = _likelihood_args("unit")
-    for start in (PANEL_LAW, gb2.Gb2Params(6.0, 0.3, 0.5, 5.0)):
-        path = gb2._newton(np.log([start.mu, start.nu, start.q, start.c1]),
-                           *args)
-        assert path.converged
-        assert np.exp(path.theta) == pytest.approx(np.exp(theta_hat), rel=1e-5)
-        assert -path.f == pytest.approx(res.log_likelihood, rel=1e-12)
+    # paths from the four perturbations of fit_mle's start that earlier
+    # versions also ran, from the true law and from a far start each reach
+    # the optimum of fit_mle's one path, unweighted and worker-weighted
+    c = _panel_sample()
+    order = np.argsort(c)
+    for weights in ("unit", "workers"):
+        args = _likelihood_args(weights)
+        w = args[1]
+        res = gb2.fit_mle(c, w)
+        assert res.converged
+        theta_hat = np.log([res.params.mu, res.params.nu, res.params.q,
+                            res.params.c1])
+        cs, ws = c[order], w[order]
+        base = np.log([gb2._tail_index_guess(cs[::-1], ws[::-1]), 1.0, 1.0,
+                       gb2._weighted_median(cs, ws)])
+        starts = [base + np.log(factors) for factors in FORMER_START_FACTORS]
+        starts += [np.log([p.mu, p.nu, p.q, p.c1])
+                   for p in (PANEL_LAW, gb2.Gb2Params(6.0, 0.3, 0.5, 5.0))]
+        for start in starts:
+            path = gb2._newton(start, *args)
+            assert path.converged
+            assert np.exp(path.theta) == pytest.approx(np.exp(theta_hat),
+                                                       rel=1e-5)
+            assert -path.f == pytest.approx(res.log_likelihood, rel=1e-12)
 
 
 def test_fit_takes_c_and_weights_as_they_are():

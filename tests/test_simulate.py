@@ -222,6 +222,14 @@ def test_scenario_defaults(tmp_path):
     (NO_SEED + "fit_window_lo = -1\n", 11, "fit_window_lo: must be > 0"),
     (NO_SEED + "fit_window_hi = 0\n", 11, "fit_window_hi: must be > 0"),
     (NO_SEED + "fit_window_hi = nan\n", 11, "fit_window_hi: must be > 0"),
+    (NO_SEED + "fit_window_hi = inf\n", 11,
+     "fit_window_hi: must be > 0 and finite, got 'inf'"),
+    (NO_SEED + "tolerance = nan\n", 11,
+     "tolerance: must be > 0 and finite, got 'nan'"),
+    (NO_SEED + "tolerance = -0.5\n", 11,
+     "tolerance: must be > 0 and finite, got '-0.5'"),
+    (NO_SEED + "tolerance = inf\n", 11,
+     "tolerance: must be > 0 and finite, got 'inf'"),
 ])
 def test_scenario_bad_line_names_line_and_key(tmp_path, text, line, message):
     path = tmp_path / "bad.txt"
