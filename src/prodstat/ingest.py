@@ -16,6 +16,16 @@ have firm_id, year, sector_code, sector_class, c and weight_workers
 (the averaged workforce, used as the fit weight); the ledger has
 firm_id, year and reason.  sector_class holds the CSV code, M or N.
 
+The CSV may quote fields, as spreadsheets write them; whitespace
+around a field is stripped, blank lines are skipped and a UTF-8
+byte-order mark is accepted.  One np.loadtxt pass parses the data rows
+into whole columns, and whole-column tests apply the rules below.  A
+file that the pass cannot read, or that has a malformed row, is read
+again row by row by csv.reader and _parse_row, which alone define each
+malformed row's line number and message.  The pass accepts only tokens
+int() and float() read to the same value, so both reads give the same
+records; on a clean panel the row loop never runs.
+
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
 sector class) are errors and become fatal past 1% of data rows; rows
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +67,10 @@ _BUILD_REASONS = np.array(["", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE,
                            R_MIN_WORKERS, R_CAP])
 
 CLASS_CODES = ("M", "N")
+
+# np.loadtxt's columns: the strings as str objects, stripped after the parse
+_COLUMNS_DTYPE = np.dtype(list(zip(SCHEMA_V1, (object, np.int64, np.int64,
+                                               object, np.float64, np.int64))))
 
 
 @dataclass(frozen=True)
@@ -108,8 +123,12 @@ def _table(**columns: np.ndarray) -> np.ndarray:
 
 def load_csv(path) -> LoadResult:
     """Parse the panel CSV.  Raises SchemaError on a wrong header,
-    TooManyBadRows past the 1% threshold."""
-    with open(Path(path), newline="", encoding="utf-8") as fh:
+    TooManyBadRows past the 1% threshold.
+
+    One np.loadtxt pass parses the data rows.  If it fails, or a row
+    breaks a rule of _parse_row, the file is read again row by row, so
+    that each malformed row is named by its line and message."""
+    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(h.strip() for h in next(reader))
@@ -126,7 +145,14 @@ def load_csv(path) -> LoadResult:
             if not parts:
                 parts.append("columns out of order")
             raise SchemaError("header mismatch; " + "; ".join(parts))
+        result = _load_columns(fh)
+        if result is not None:
+            return result
 
+        # read again row by row: the one definition of each RowError
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows: list[tuple] = []
         errors: list[RowError] = []
         exclusions: list[Exclusion] = []
@@ -153,6 +179,43 @@ def load_csv(path) -> LoadResult:
     records = np.array(rows, dtype=list(zip(SCHEMA_V1, kinds)))
     return LoadResult(records=records, errors=tuple(errors),
                       exclusions=tuple(exclusions))
+
+
+def _load_columns(fh) -> LoadResult | None:
+    """The rest of fh parsed in one np.loadtxt pass, or None if the
+    parse fails or warns, or _parse_row would reject a row."""
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on a file with no data rows, and numpy < 2 on
+            # an integer written as a float, which int() rejects
+            warnings.simplefilter("error")
+            cols = np.loadtxt(fh, dtype=_COLUMNS_DTYPE, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # loadtxt rejects 1_000, non-ASCII digits and integers past int64,
+    # which int() and float() accept; it strips numbers, not strings
+    firm_id = [x.strip() for x in cols["firm_id"].tolist()]
+    sector_class = [x.strip() for x in cols["sector_class"].tolist()]
+    year, code, workers = cols["year"], cols["sector_code"], cols["workers_eoy"]
+    reason = np.select([workers == 0, workers < 0, (code < 1) | (code > _N_SECTORS)],
+                       [R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE], "")
+    keep = reason == ""
+    big = (year >= _INT_LIMIT) | (year <= -_INT_LIMIT) | (workers >= _INT_LIMIT)
+    if ("" in firm_id or not set(sector_class) <= set(CLASS_CODES)
+            or not np.isfinite(cols["value_added"]).all() or (big & keep).any()):
+        return None
+    out = np.flatnonzero(~keep).tolist()
+    exclusions = tuple(map(Exclusion, [firm_id[i] for i in out],
+                           year[out].tolist(), reason[out].tolist()))
+    ids = np.array(firm_id, dtype=object)[keep]
+    classes = np.array(sector_class, dtype=object)[keep]
+    id_width = max(map(len, ids.tolist()), default=1)
+    records = _table(firm_id=ids.astype(f"U{id_width}"), year=year[keep],
+                     sector_code=code[keep], sector_class=classes.astype("U1"),
+                     value_added=cols["value_added"][keep],
+                     workers_eoy=workers[keep])
+    return LoadResult(records=records, errors=(), exclusions=exclusions)
 
 
 def _parse_row(row) -> tuple[tuple, str | None]:

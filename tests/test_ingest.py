@@ -1,11 +1,13 @@
 """Panel CSV loading, sample construction with the exclusion ledger,
 sector aggregation, and rank-size points."""
 
+import csv
 import dataclasses
 import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -55,6 +57,31 @@ def test_records_dtype(tmp_path):
     assert empty.records.dtype["firm_id"] == np.dtype("<U1")
     build = build_samples(empty.records)
     assert len(build.samples) == len(build.exclusions) == 0
+    # a header alone, or with blank lines after it, loads as no records
+    # and no warning (numpy's "input contained no data" would fail here)
+    for body in ("", "\n\n", "\r\n"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            header_only = load_csv(_write(tmp_path, body, "h.csv"))
+        assert caught == []
+        assert header_only.records.dtype == empty.records.dtype
+        assert len(header_only.records) == 0
+        assert header_only.errors == header_only.exclusions == ()
+
+
+def test_byte_order_mark_accepted(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which used to
+    # glue itself to firm_id and fail the header check
+    path = tmp_path / "bom.csv"
+    path.write_text(HEADER + "A,2000,3,M,120.0,10\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_csv(path).records.tolist() == [("A", 2000, 3, "M", 120.0, 10)]
+    # the row-by-row reread skips the mark too
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    path.write_text(HEADER + good + "BAD,x,y,z,q,w\n", encoding="utf-8-sig")
+    result = load_csv(path)
+    assert len(result.records) == 199
+    assert [e.line_no for e in result.errors] == [201]
 
 
 def test_parse_row():
@@ -208,11 +235,15 @@ def test_nonfinite_value_counts_toward_threshold(tmp_path):
 
 
 def test_huge_integer_is_malformed(tmp_path):
+    # 10**30 is past np.loadtxt's int64, the others are not; the 2**62
+    # limit keeps year - 1 and a two-year workforce sum in range
     good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
-    path = _write(tmp_path, good + f"X,{10 ** 30},3,M,10.0,5\n")
-    result = load_csv(path)
-    assert len(result.records) == 199
-    assert result.errors[0].message == "year or workers_eoy out of range"
+    for row in (f"X,{10 ** 30},3,M,10.0,5", f"X,{2 ** 62},3,M,10.0,5",
+                f"X,{-(2 ** 62)},3,M,10.0,5", f"X,2000,3,M,10.0,{2 ** 62}"):
+        result = load_csv(_write(tmp_path, good + row + "\n"))
+        assert len(result.records) == 199
+        assert [(e.line_no, e.message) for e in result.errors] == [
+            (201, "year or workers_eoy out of range")]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -409,6 +440,124 @@ def test_build_matches_reference_loop(tmp_path):
         got = [(s[0], s[1], s[4], s[5]) for s in build.samples.tolist()]
         assert got == ref_samples
         assert len(load.records) == len(build.samples) + len(build.exclusions)
+
+
+def _reference_load(path):
+    """The csv.reader and _parse_row loop alone: (records, errors,
+    exclusions) as load_csv returns them below the 1% rule."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))[1:]
+    kept, errors, exclusions = [], [], []
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            values, reason = ingest._parse_row(row)
+        except ValueError as exc:
+            errors.append(ingest.RowError(line_no, str(exc)))
+            continue
+        if reason is None:
+            kept.append(values)
+        else:
+            exclusions.append(ingest.Exclusion(values[0], values[1], reason))
+    width = max((len(values[0]) for values in kept), default=1)
+    dtype = [("firm_id", f"<U{width}"), ("year", "<i8"), ("sector_code", "<i8"),
+             ("sector_class", "<U1"), ("value_added", "<f8"), ("workers_eoy", "<i8")]
+    return np.array(kept, dtype=dtype), errors, exclusions
+
+
+def _takes_bulk_parse(path):
+    """Whether load_csv's one np.loadtxt pass accepts the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))
+        return ingest._load_columns(fh) is not None
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+# row edits that both parsers read alike
+_BULK_EDITS = [
+    lambda r: [f"  {r[0]}\t"] + r[1:],
+    lambda r: [f'"{r[0]}, Ltd"'] + r[1:],
+    lambda r: [f'" {r[0]} ""K"""'] + r[1:],
+    lambda r: r[:5] + ["+" + r[5]],
+    lambda r: r[:3] + [f" {r[3]} "] + r[4:],
+    lambda r: r[:4] + [f'"{r[4]}"', f" {r[5]} "],
+    lambda r: [r[0], str(2 ** 62 + 7), r[2], r[3], r[4], "0"],
+    lambda r: [r[0], str(-(2 ** 62)), r[2], r[3], r[4], "-3"],
+    lambda r: r[:2] + ["0"] + r[3:],
+    lambda r: r[:2] + ["27"] + r[3:],
+]
+# row edits that int() or float() accept and np.loadtxt rejects
+_LOOP_EDITS = [
+    lambda r: r[:5] + ["1_000"],
+    lambda r: r[:4] + ["1_250.5", r[5]],
+    lambda r: [r[0], r[1].translate(_FULL_WIDTH)] + r[2:],
+    lambda r: r[:2] + [str(2 ** 63)] + r[3:],
+    lambda r: [r[0], str(2 ** 63 + 1), r[2], r[3], r[4], "0"],
+]
+# malformed rows
+_BAD_EDITS = [
+    lambda r: r[:4] + ["1e400", r[5]],
+    lambda r: r[:4] + ["infinity", r[5]],
+    lambda r: [r[0], str(2 ** 63)] + r[2:],
+    lambda r: [r[0], str(2 ** 62)] + r[2:],
+    lambda r: r[:5] + [str(2 ** 64)],
+]
+
+
+def _seeded_rows(rng, n):
+    return [[f"F{rng.integers(200)}", str(rng.integers(1995, 2002)),
+             str(rng.integers(1, 27)), "MN"[rng.integers(2)],
+             repr(float(rng.normal(50.0, 40.0))), str(rng.integers(1, 20))]
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_load_matches_reference_loop(tmp_path, seed):
+    # seeds 0-2 edit rows only in ways np.loadtxt reads, so the bulk
+    # parse must take the file; seeds 3-5 add edits only int() and
+    # float() read and a few malformed rows, so the loop must
+    rng = np.random.default_rng(seed)
+    rows = _seeded_rows(rng, 800)
+    edits = _BULK_EDITS + (_LOOP_EDITS if seed >= 3 else [])
+    for i in rng.choice(len(rows), 120, replace=False):
+        rows[i] = edits[rng.integers(len(edits))](rows[i])
+    if seed >= 3:
+        for i in rng.choice(len(rows), 5, replace=False):
+            rows[i] = _BAD_EDITS[rng.integers(len(_BAD_EDITS))](rows[i])
+    lines = [",".join(row) for row in rows]
+    for i in sorted(rng.choice(len(lines), 6, replace=False), reverse=True):
+        lines.insert(i, "")
+    newline = "\r\n" if seed % 2 else "\n"
+    path = tmp_path / "panel.csv"
+    path.write_bytes((HEADER.replace("\n", newline)
+                      + newline.join(lines) + newline).encode("utf-8"))
+
+    got = load_csv(path)
+    records, errors, exclusions = _reference_load(path)
+    assert _takes_bulk_parse(path) == (seed < 3)
+    assert got.records.dtype == records.dtype
+    assert got.records.tobytes() == records.tobytes()
+    assert list(got.errors) == errors
+    assert list(got.exclusions) == exclusions
+    assert all(type(e.year) is int for e in got.exclusions)
+    assert len(exclusions) > 0 and (len(errors) > 0) == (seed >= 3)
+
+
+def test_bulk_and_loop_give_identical_records(tmp_path):
+    # one malformed row sends the whole file to the loop; the records
+    # must not tell which parser read them
+    rows = "".join(",".join(row) + "\n"
+                   for row in _seeded_rows(np.random.default_rng(9), 400))
+    clean = _write(tmp_path, rows, "clean.csv")
+    dirty = _write(tmp_path, rows + "BAD,x,y,z,q,w\n", "dirty.csv")
+    assert _takes_bulk_parse(clean) and not _takes_bulk_parse(dirty)
+    a, b = load_csv(clean), load_csv(dirty)
+    assert a.records.dtype == b.records.dtype
+    assert a.records.tobytes() == b.records.tobytes()
+    assert [(e.line_no, e.message) for e in b.errors] == [
+        (402, "non-integer year, sector_code, or workers_eoy")]
 
 
 def test_ranksize_plain():
