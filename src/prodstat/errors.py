@@ -28,7 +28,8 @@ class WindowError(ProdstatError):
 
 
 class SchemaError(ProdstatError):
-    """Input file header does not match the documented schema."""
+    """Input file header does not match the documented schema, or a
+    line of the file is not one csv can read."""
 
 
 class TooManyBadRows(ProdstatError):

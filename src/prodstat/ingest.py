@@ -22,9 +22,11 @@ byte-order mark is accepted.  One np.loadtxt pass parses the data rows
 into whole columns, and whole-column tests apply the rules below.  A
 file that the pass cannot read, or that has a malformed row, is read
 again row by row by csv.reader and _parse_row, which alone define each
-malformed row's line number and message.  The pass accepts only tokens
-int() and float() read to the same value, so both reads give the same
-records; on a clean panel the row loop never runs.
+malformed row's line number, the physical line the row starts on, and
+its message.  A field past csv's size limit (131072 characters) stops
+that read with a SchemaError naming its line.  The pass accepts only
+tokens int() and float() read to the same value, so both reads give
+the same records; on a clean panel the row loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
@@ -122,18 +124,18 @@ def _table(**columns: np.ndarray) -> np.ndarray:
 
 
 def load_csv(path) -> LoadResult:
-    """Parse the panel CSV.  Raises SchemaError on a wrong header,
-    TooManyBadRows past the 1% threshold.
+    """Parse the panel CSV.  Raises SchemaError on a wrong header or a
+    line csv cannot read, TooManyBadRows past the 1% threshold.
 
     One np.loadtxt pass parses the data rows.  If it fails, or a row
     breaks a rule of _parse_row, the file is read again row by row, so
     that each malformed row is named by its line and message."""
     with open(Path(path), newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = tuple(h.strip() for h in next(reader))
+            _, header = next(_numbered_rows(fh))
         except StopIteration:
             raise SchemaError("empty file: missing header") from None
+        header = tuple(h.strip() for h in header)
         if header != SCHEMA_V1:
             missing = [col for col in SCHEMA_V1 if col not in header]
             extra = [col for col in header if col not in SCHEMA_V1]
@@ -151,12 +153,12 @@ def load_csv(path) -> LoadResult:
 
         # read again row by row: the one definition of each RowError
         fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
+        numbered = _numbered_rows(fh)
+        next(numbered)
         rows: list[tuple] = []
         errors: list[RowError] = []
         exclusions: list[Exclusion] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in numbered:
             if not row:
                 continue
             try:
@@ -179,6 +181,22 @@ def load_csv(path) -> LoadResult:
     records = np.array(rows, dtype=list(zip(SCHEMA_V1, kinds)))
     return LoadResult(records=records, errors=tuple(errors),
                       exclusions=tuple(exclusions))
+
+
+def _numbered_rows(fh):
+    """csv.reader's rows of fh, each with the physical line it starts
+    on; a quoted field may span lines.  csv's errors, such as a field
+    past its size limit, become a SchemaError naming the line."""
+    reader = csv.reader(fh)
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SchemaError(f"line {line_no}: {exc}") from None
+        yield line_no, row
 
 
 def _load_columns(fh) -> LoadResult | None:

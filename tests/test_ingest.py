@@ -185,6 +185,34 @@ def test_blank_lines_skipped_and_not_counted(tmp_path):
         "non-integer year, sector_code, or workers_eoy")
 
 
+def test_line_numbers_count_physical_lines(tmp_path):
+    # a quoted id holding a line break makes lines 2-3 one row; each
+    # malformed row is named by the physical line it starts on
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(198))
+    result = load_csv(_write(tmp_path, '"A\nB",2000,3,M,10.0,5\n' + good
+                             + '"X\nY",2000,3,M,10.0\n' + "BAD,x,y,z,q,w\n"))
+    assert result.records["firm_id"][0] == "A\nB"
+    assert len(result.records) == 199
+    assert [(e.line_no, e.message) for e in result.errors] == [
+        (202, "expected 6 fields, got 5"),
+        (204, "non-integer year, sector_code, or workers_eoy")]
+
+
+def test_field_past_csv_limit_names_its_line(tmp_path):
+    # np.loadtxt reads a 200000-character field, csv.reader does not;
+    # the malformed row sends the file to csv.reader
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    path = _write(tmp_path, good + "X" * 200_000 + ",2000,3,M,10.0,5\n"
+                  + "BAD,x,y,z,q,w\n")
+    with pytest.raises(SchemaError,
+                       match=r"^line 201: field larger than field limit"):
+        load_csv(path)
+    path.write_text("Y" * 200_000 + "\n")
+    with pytest.raises(SchemaError,
+                       match=r"^line 1: field larger than field limit"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("row,message", [
     ("X,2000,3,M,10.0", "expected 6 fields, got 5"),
     ("X,2000,3,M,10.0,5,7", "expected 6 fields, got 7"),
@@ -446,9 +474,13 @@ def _reference_load(path):
     """The csv.reader and _parse_row loop alone: (records, errors,
     exclusions) as load_csv returns them below the 1% rule."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))[1:]
+        reader = csv.reader(fh)
+        rows, first_line = [], 1     # (physical line a row starts on, row)
+        for row in reader:
+            rows.append((first_line, row))
+            first_line = reader.line_num + 1
     kept, errors, exclusions = [], [], []
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows[1:]:
         if not row:
             continue
         try:
