@@ -24,7 +24,8 @@ file that the pass cannot read, or that has a malformed row, is read
 again row by row by csv.reader and _parse_row, which alone define each
 malformed row's line number, the physical line the row starts on, and
 its message.  A field past csv's size limit (131072 characters) stops
-that read with a SchemaError naming its line.  The pass accepts only
+that read with a SchemaError naming its line; the pass sends a file
+with such a firm_id or sector_class to it.  The pass accepts only
 tokens int() and float() read to the same value, so both reads give
 the same records; on a clean panel the row loop never runs.
 
@@ -212,15 +213,19 @@ def _load_columns(fh) -> LoadResult | None:
     except (ValueError, Warning):
         return None
     # loadtxt rejects 1_000, non-ASCII digits and integers past int64,
-    # which int() and float() accept; it strips numbers, not strings
-    firm_id = [x.strip() for x in cols["firm_id"].tolist()]
-    sector_class = [x.strip() for x in cols["sector_class"].tolist()]
+    # which int() and float() accept; it strips numbers, not strings,
+    # and reads strings past csv's field size limit, which csv.reader rejects
+    raw_ids, raw_classes = cols["firm_id"].tolist(), cols["sector_class"].tolist()
+    firm_id = [x.strip() for x in raw_ids]
+    sector_class = [x.strip() for x in raw_classes]
     year, code, workers = cols["year"], cols["sector_code"], cols["workers_eoy"]
     reason = np.select([workers == 0, workers < 0, (code < 1) | (code > _N_SECTORS)],
                        [R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE], "")
     keep = reason == ""
     big = (year >= _INT_LIMIT) | (year <= -_INT_LIMIT) | (workers >= _INT_LIMIT)
-    if ("" in firm_id or not set(sector_class) <= set(CLASS_CODES)
+    longest = max(map(len, [*raw_ids, *set(raw_classes)]))
+    if ("" in firm_id or longest > csv.field_size_limit()
+            or not set(sector_class) <= set(CLASS_CODES)
             or not np.isfinite(cols["value_added"]).all() or (big & keep).any()):
         return None
     out = np.flatnonzero(~keep).tolist()

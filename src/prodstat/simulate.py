@@ -3,12 +3,10 @@
 One run draws K firm productivities c_k once, then repeats over epochs:
 draw an inverse temperature beta from the truncated power-law weight,
 allocate the epoch's N workers over firms with p_k ~ e^{-beta c_k}, and
-accumulate per-firm worker counts.  With fewer workers than firms, each
-worker's firm is drawn by inverse cdf: N sorted uniforms searched in the
-cumulative weights e^{-beta (c_k - min c)}, at O(K + N log K) an epoch.
-With N >= K, one binomial per firm (rng.multinomial, log-sum-exp
-guarded) is the faster draw, at O(K).  Either way an epoch's counts
-are multinomial(N, p).  Averaging epochs over the fluctuating beta
+accumulate per-firm worker counts.  Each worker's firm is drawn by
+inverse cdf: N sorted uniforms searched in the cumulative weights
+e^{-beta (c_k - min c)}, at O(K + N log K) an epoch, so an epoch's
+counts are multinomial(N, p).  Averaging epochs over the fluctuating beta
 realizes the ensemble whose worker-side tail index should exceed the
 firm-side one by 1 - gamma; verify_tail_relation measures both ends
 with the MLE pipeline and compares.
@@ -77,35 +75,22 @@ def run_sim(cfg: SimConfig) -> SimOutput:
     rng = np.random.default_rng(ss_alloc)
 
     n = cfg.n_workers_per_epoch
-    # the size rule: a draw per worker costs O(n log K), a binomial per
-    # firm O(K).  At K = 10000 on a 2-vCPU Xeon an epoch took 0.46 ms
-    # against 0.56 ms at n = K, 0.79 against 0.78 at n = 2K and 1.4
-    # against 0.84 at n = 4K; the multinomial, and its random stream,
-    # is kept from n = K on
-    per_worker = n < cfg.n_firms
     dc = c - c.min()
     cdf = np.empty(cfg.n_firms)
     counts = np.zeros(cfg.n_firms, dtype=np.int64)
     epoch_demand = np.empty(cfg.n_epochs)
     for j in range(cfg.n_epochs):
-        if per_worker:
-            # each worker's firm by inverse cdf; sorted uniforms in
-            # (0, total] keep the search local, and a firm whose weight
-            # underflows to 0 adds no cdf step, so it is never drawn
-            np.multiply(dc, -betas[j], out=cdf)
-            np.exp(cdf, out=cdf)
-            np.cumsum(cdf, out=cdf)
-            u = 1.0 - rng.random(n)
-            u.sort()
-            u *= cdf[-1]
-            n_k = np.bincount(np.searchsorted(cdf, u, side="left"),
-                              minlength=cfg.n_firms)
-        else:
-            logits = -betas[j] * c
-            logits -= logits.max()                 # log-sum-exp guard
-            p = np.exp(logits)
-            p /= p.sum()
-            n_k = rng.multinomial(n, p)
+        # each worker's firm by inverse cdf; sorted uniforms in (0, total]
+        # keep the search local, and a firm whose weight underflows to 0
+        # adds no cdf step, so it is never drawn
+        np.multiply(dc, -betas[j], out=cdf)
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        u = 1.0 - rng.random(n)
+        u.sort()
+        u *= cdf[-1]
+        n_k = np.bincount(np.searchsorted(cdf, u, side="left"),
+                          minlength=cfg.n_firms)
         counts += n_k
         epoch_demand[j] = (n_k @ c) / n
 

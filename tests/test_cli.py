@@ -149,13 +149,13 @@ def test_too_many_bad_rows_exit_one(tmp_path, capsys):
 
 
 def test_field_past_csv_limit_exit_one(tmp_path, capsys):
-    # a field csv cannot read, in a file with a malformed row, is one
-    # line on stderr and exit 1, not a traceback
+    # a field csv cannot read is one line on stderr and exit 1, not a
+    # traceback
     path = tmp_path / "long.csv"
     path.write_text(
         "firm_id,year,sector_code,sector_class,value_added,workers_eoy\n"
         + "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
-        + "X" * 200_000 + ",2000,3,M,10.0,5\n" + "BAD,x,y,z,q,w\n")
+        + "X" * 200_000 + ",2000,3,M,10.0,5\n")
     assert main(["fit", "--input", str(path), "--year", "2000",
                  "--class", "M", "--target", "firms"]) == 1
     assert capsys.readouterr().err == (

@@ -198,16 +198,37 @@ def test_line_numbers_count_physical_lines(tmp_path):
         (204, "non-integer year, sector_code, or workers_eoy")]
 
 
-def test_field_past_csv_limit_names_its_line(tmp_path):
-    # np.loadtxt reads a 200000-character field, csv.reader does not;
-    # the malformed row sends the file to csv.reader
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("row", [
+    "X" * (_LIMIT + 1) + ",2000,3,M,10.0,5",
+    '"' + "X," * (_LIMIT // 2 + 1) + '",2000,3,M,10.0,5',   # quoted commas
+    "X,2000,3," + " " * _LIMIT + "M,10.0,5",                # stripped to M
+])
+@pytest.mark.parametrize("bad", ["", "BAD,x,y,z,q,w\n"])
+def test_field_past_csv_limit_names_its_line(tmp_path, row, bad):
+    # csv.reader rejects the field and np.loadtxt reads it; the file
+    # fails the same way whether or not a malformed row sends it to csv
     good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
-    path = _write(tmp_path, good + "X" * 200_000 + ",2000,3,M,10.0,5\n"
-                  + "BAD,x,y,z,q,w\n")
+    path = _write(tmp_path, good + row + "\n" + bad)
     with pytest.raises(SchemaError,
                        match=r"^line 201: field larger than field limit"):
         load_csv(path)
-    path.write_text("Y" * 200_000 + "\n")
+
+
+@pytest.mark.parametrize("bad", ["", "BAD,x,y,z,q,w\n"])
+def test_field_at_csv_limit_loads(tmp_path, bad):
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    result = load_csv(_write(tmp_path, good + "X" * _LIMIT + ",2000,3,M,10.0,5\n"
+                             + bad))
+    assert len(result.records) == 200
+    assert result.records["firm_id"][-1] == "X" * _LIMIT
+
+
+def test_header_past_csv_limit_names_its_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("Y" * (_LIMIT + 1) + "\n")
     with pytest.raises(SchemaError,
                        match=r"^line 1: field larger than field limit"):
         load_csv(path)

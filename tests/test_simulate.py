@@ -57,8 +57,7 @@ def _fixed_beta(beta):
     return BetaWeight(gamma=0.0, beta_min=beta, beta_max=beta)
 
 
-# n_workers_per_epoch below, at and above n_firms = 20: both sides of
-# the size rule between a draw per worker and a binomial per firm
+# n_workers_per_epoch below, at and above n_firms = 20
 @pytest.mark.parametrize("n_workers", [8, 20, 60])
 def test_counts_match_boltzmann_weights(n_workers):
     # at one fixed beta each epoch's counts are multinomial(N, p_k), so
@@ -86,42 +85,6 @@ def test_underflowing_firm_gets_no_worker(n_workers):
     assert zero[:4].all() and 100 < zero.sum() < len(c) - 20
     assert not out.worker_counts[zero].any()
     assert out.worker_counts.sum() == n_workers * cfg.n_epochs
-
-
-def _multinomial_reference(cfg):
-    """run_sim's outputs by a binomial per firm in every epoch."""
-    ss_firms, ss_betas, ss_alloc = np.random.SeedSequence(cfg.seed).spawn(3)
-    c = gb2.sample(cfg.firm_params, cfg.n_firms, ss_firms)
-    betas = simulate.sample_betas(cfg.beta_weight, cfg.n_epochs,
-                                  np.random.default_rng(ss_betas))
-    rng = np.random.default_rng(ss_alloc)
-    counts = np.zeros(cfg.n_firms, dtype=np.int64)
-    demand = np.empty(cfg.n_epochs)
-    for j, beta in enumerate(betas):
-        logits = -beta * c
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        n_k = rng.multinomial(cfg.n_workers_per_epoch, p)
-        counts += n_k
-        demand[j] = (n_k @ c) / cfg.n_workers_per_epoch
-    return c, counts, betas, demand
-
-
-@pytest.mark.parametrize("n_firms", [500, 300])
-def test_workers_at_least_firms_draw_multinomially(n_firms):
-    cfg = _config(n_firms=n_firms, n_workers_per_epoch=500, n_epochs=100)
-    out = simulate.run_sim(cfg)
-    got = (out.firm_productivities, out.worker_counts, out.realized_betas,
-           out.epoch_demand)
-    for a, b in zip(got, _multinomial_reference(cfg)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_workers_fewer_than_firms_draw_per_worker():
-    cfg = _config(n_firms=501, n_workers_per_epoch=500, n_epochs=100)
-    out = simulate.run_sim(cfg)
-    assert not np.array_equal(out.worker_counts, _multinomial_reference(cfg)[1])
 
 
 def test_sample_betas_range_and_law():
