@@ -7,8 +7,8 @@ maximum-likelihood fitting.  The density is
 
 with mu, nu, q, c1 > 0.  The upper tail is Pareto with index mu
 (p(c) ~ c^(-mu-1)), the lower end rises as c^(nu-1), q sets the
-sharpness of the crossover and c1 its location.  log_beta and the cdf's
-reg_inc_beta are domain-checked calls to math.lgamma and scipy's betainc.
+sharpness of the crossover and c1 its location; the special functions
+(digamma, trigamma, log_beta, reg_inc_beta) are written out below.
 
 Fitting maximizes sum_i w_i ln p(c_i) over the log-transformed
 parameters theta = (ln mu, ln nu, ln q, ln c1) with damped Newton
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, digamma, expit, zeta
 
 from . import kernels
 from .errors import InsufficientData
@@ -45,6 +44,14 @@ _NEWTON_MAX_ITER = 50        # Newton step cap
 _ARMIJO = 1e-4               # sufficient-decrease fraction of the line search
 _MAX_BACKTRACK = 40          # step halvings before a line search gives up
 _MAX_DAMPING = 30            # tenfold increases of the Hessian shift
+_CF_MAX_ITER = 10_000        # continued-fraction steps of reg_inc_beta
+_CF_EPS = 2.0 ** -52         # its stop rule on the last factor's distance to 1
+_TINY = 1e-300               # stands in for a zero denominator there
+# B_2k, k = 1..7, in trigamma's asymptotic series (A&S 6.4.12); over 2k
+# in digamma's (6.3.18), over 2k (2k - 1) in Stirling's series (6.1.40)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_PSI_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+_STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,43 @@ class FitResult:
             raise ValueError("mu_stderr must be >= 0")
 
 
+def _series(coeffs, x: float) -> float:
+    """sum_k coeffs[k-1] x^(-2k), k = 1, 2, ..., by Horner's rule."""
+    r, acc = 1.0 / (x * x), 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * r
+    return acc
+
+
+def _psi01(x: float) -> tuple[float, float]:
+    """(digamma(x), trigamma(x)) for x > 0: psi(x) = psi(x+1) - 1/x and
+    psi'(x) = psi'(x+1) + 1/x^2 up to x >= 10, then the series to B_14."""
+    psi = tri = 0.0
+    while x < 10.0:
+        psi -= 1.0 / x
+        tri += 1.0 / (x * x)
+        x += 1.0
+    return (psi + math.log(x) - 0.5 / x - _series(_PSI_SERIES, x),
+            tri + (1.0 + 0.5 / x + _series(_BERNOULLI, x)) / x)
+
+
 def log_beta(s: float, t: float) -> float:
-    """ln B(s, t) for s, t > 0."""
+    """ln B(s, t) for s, t > 0.  Once the larger argument x is >= 10,
+    ln Gamma(x) - ln Gamma(x + y) is one difference of Stirling's series,
+    so that the two large terms cannot cancel to lose digits."""
     if not (s > 0.0 and t > 0.0) or math.isinf(s) or math.isinf(t):
         raise ValueError(f"log_beta requires finite s, t > 0, got {s!r}, {t!r}")
-    return math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t)
+    return _log_beta(s, t)
+
+
+def _log_beta(s: float, t: float) -> float:
+    # log_beta unchecked, so reg_inc_beta's calls stay out of its trace count
+    x, y = (s, t) if s >= t else (t, s)
+    if x < 10.0:
+        return math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t)
+    xy = x + y
+    return (math.lgamma(y) - (x - 0.5) * math.log1p(y / x) - y * math.log(xy) + y
+            + x * _series(_STIRLING, x) - xy * _series(_STIRLING, xy))
 
 
 def reg_inc_beta(z: float, s: float, t: float) -> float:
@@ -94,7 +133,29 @@ def reg_inc_beta(z: float, s: float, t: float) -> float:
         raise ValueError(f"reg_inc_beta requires 0 <= z <= 1, got {z!r}")
     if not (s > 0.0 and t > 0.0) or math.isinf(s) or math.isinf(t):
         raise ValueError(f"reg_inc_beta requires finite s, t > 0, got {s!r}, {t!r}")
-    return float(betainc(s, t, z))
+    if z == 0.0 or z == 1.0:
+        return z
+    if z < (s + 1.0) / (s + t + 2.0):
+        return _inc_beta_cf(z, s, t)
+    return 1.0 - _inc_beta_cf(1.0 - z, t, s)
+
+
+def _inc_beta_cf(z: float, s: float, t: float) -> float:
+    """I_z(s, t) = front / (1 + d_1 / (1 + d_2 / (1 + ...))) by the
+    modified Lentz method (Press et al., Numerical Recipes, 3rd ed.,
+    6.4), which converges fast for z < (s+1)/(s+t+2)."""
+    front = math.exp(s * math.log(z) + t * math.log1p(-z) - _log_beta(s, t)) / s
+    c, d, g = 1.0, 0.0, 1.0
+    for m in range(_CF_MAX_ITER):
+        # d_2m+1, then d_2m+2
+        for num in (-(s + m) * (s + t + m) * z / ((s + 2 * m) * (s + 2 * m + 1)),
+                    (m + 1) * (t - m - 1) * z / ((s + 2 * m + 1) * (s + 2 * m + 2))):
+            d = 1.0 / (1.0 + num * d or _TINY)
+            c = 1.0 + num / c or _TINY
+            g *= c * d
+        if abs(c * d - 1.0) <= _CF_EPS:
+            return front / g
+    raise ArithmeticError(f"I_z(s, t) did not converge at z={z!r}, s={s!r}, t={t!r}")
 
 
 def log_pdf(p: Gb2Params, lc: np.ndarray) -> np.ndarray:
@@ -164,17 +225,17 @@ def tail_scale(p: Gb2Params) -> float:
 
 
 def _shape_terms(theta: np.ndarray):
-    """(nu, q, a, b, m, gu, gv) at theta = (ln mu, ln nu, ln q, ln c1):
-    a = mu/q, b = nu/q, m = a + b, and (gu, gv) the gradient of
-    ln B(a, b) in (ln a, ln b)."""
+    """(nu, q, a, b, m, gu, gv, tri) at theta = (ln mu, ln nu, ln q,
+    ln c1): a = mu/q, b = nu/q, m = a + b, (gu, gv) the gradient of
+    ln B(a, b) in (ln a, ln b), and tri the trigammas of (a, b, m)."""
     lmu, lnu, lq, _ = theta
     nu = math.exp(lnu)
     q = math.exp(lq)
     a = math.exp(lmu) / q
     b = nu / q
     m = a + b
-    psi_a, psi_b, psi_m = digamma([a, b, m])
-    return nu, q, a, b, m, a * (psi_a - psi_m), b * (psi_b - psi_m)
+    (psi_a, psi_b, psi_m), tri = zip(*map(_psi01, (a, b, m)))
+    return nu, q, a, b, m, a * (psi_a - psi_m), b * (psi_b - psi_m), tri
 
 
 def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
@@ -193,7 +254,7 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     if np.max(np.abs(theta)) > _THETA_BOUND:
         return math.inf, None, None
     _, _, lq, lc1 = theta
-    nu, q, a, b, m, gu, gv = _shape_terms(theta)
+    nu, q, a, b, m, gu, gv, (tri_a, tri_b, tri_m) = _shape_terms(theta)
     k, k0, k1, h0, h1, h2 = kernels.softplus_wsum(lc, w, q, lc1)
     wt, st = w_total, wlc_total
     f = float(wt * (log_beta(a, b) - lq) - (nu - 1.0) * st + nu * wt * lc1
@@ -201,8 +262,6 @@ def _nll_derivatives(theta: np.ndarray, lc: np.ndarray, w: np.ndarray,
     if not math.isfinite(f):
         return math.inf, None, None
 
-    # trigamma(x) = zeta(2, x); scipy's polygamma(1, x) wraps this call
-    tri_a, tri_b, tri_m = zeta(2.0, [a, b, m])
     # ln B(a, b) as a function of (ln a, ln b)
     guu = gu + a * a * (tri_a - tri_m)
     gvv = gv + b * b * (tri_b - tri_m)
@@ -244,11 +303,12 @@ def _nll_scores(theta: np.ndarray, lc: np.ndarray) -> np.ndarray:
     d = lc - ln c1, t = q d, sp = softplus(t) and s = sigmoid(t), the row
     is [gu + a sp, gv - nu d + b sp, -(gu + gv + 1) + m (q s d - sp),
     nu - m q s]; the weighted column sums are _nll_derivatives' g."""
-    nu, q, a, b, m, gu, gv = _shape_terms(theta)
+    nu, q, a, b, m, gu, gv, _ = _shape_terms(theta)
     d = lc - theta[3]
     t = q * d
-    sp = kernels.softplus(t)
-    s = expit(t)
+    e = np.exp(-np.abs(t))          # as in kernels.softplus_wsum
+    sp = np.maximum(t, 0.0) + np.log1p(e)
+    s = np.where(t >= 0.0, 1.0, e) / (1.0 + e)
     return np.column_stack([gu + a * sp, gv - nu * d + b * sp,
                             -(gu + gv + 1.0) + m * (q * s * d - sp),
                             nu - m * q * s])

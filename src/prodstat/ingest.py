@@ -25,9 +25,11 @@ again row by row by csv.reader and _parse_row, which alone define each
 malformed row's line number, the physical line the row starts on, and
 its message.  A field past csv's size limit (131072 characters) stops
 that read with a SchemaError naming its line; the pass sends a file
-with such a firm_id or sector_class to it.  The pass accepts only
-tokens int() and float() read to the same value, so both reads give
-the same records; on a clean panel the row loop never runs.
+with such a firm_id or sector_class to it.  int() refuses more digits
+than sys.get_int_max_str_digits(), and an int64 has at most 19
+significant ones, so a file with that many zeros less 18 in a row goes
+to the loop too.  Short of csv's limit, a numeric token either read
+accepts the other reads alike; on a clean panel the loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
@@ -40,7 +42,9 @@ rejected rows, kept as tuples of RowError and Exclusion records.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,13 +207,19 @@ def _numbered_rows(fh):
 def _load_columns(fh) -> LoadResult | None:
     """The rest of fh parsed in one np.loadtxt pass, or None if the
     parse fails or warns, or _parse_row would reject a row."""
+    text = fh.read()
+    # 0 is no limit; Python < 3.10.7 has none
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and "0" * (digits - 18) in text:
+        return None
     try:
         with warnings.catch_warnings():
             # numpy warns on a file with no data rows, and numpy < 2 on
             # an integer written as a float, which int() rejects
             warnings.simplefilter("error")
-            cols = np.loadtxt(fh, dtype=_COLUMNS_DTYPE, delimiter=",",
-                              quotechar='"', comments=None, ndmin=1)
+            cols = np.loadtxt(io.StringIO(text), dtype=_COLUMNS_DTYPE,
+                              delimiter=",", quotechar='"', comments=None,
+                              ndmin=1)
     except (ValueError, Warning):
         return None
     # loadtxt rejects 1_000, non-ASCII digits and integers past int64,

@@ -1,4 +1,4 @@
-"""Tail-index algebra and the temperature-fluctuation factor.
+"""Tail-index algebra and the temperature weight.
 
 Links the fitted firm and worker tail indices (mu_f, mu_w) to the
 exponent gamma of the temperature weight f(beta) ~ beta^-gamma, the
@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from scipy.special import gammainc, gammaincc
 
 from .errors import RegimeError
 
@@ -82,9 +80,9 @@ class BetaWeight:
     """Truncated power-law temperature weight f(beta) ~ beta^-gamma.
 
     The pure power law is not normalizable on (0, inf); truncation to
-    [beta_min, beta_max] makes every integral finite.  The asymptotic
-    power-law behavior of the averaged Boltzmann factor emerges in the
-    window beta_min << 1/c << beta_max.  beta_min == beta_max is the
+    [beta_min, beta_max] makes every integral finite, and the power-law
+    tail it implies holds in the window beta_min << 1/c << beta_max
+    (simulate checks it there).  beta_min == beta_max is the
     degenerate point-mass weight (a single fixed temperature).
     """
 
@@ -101,13 +99,6 @@ class BetaWeight:
     @property
     def degenerate(self) -> bool:
         return self.beta_min == self.beta_max
-
-    def normalizer(self) -> float:
-        """Integral of beta^-gamma over [beta_min, beta_max]."""
-        if self.degenerate:
-            raise ValueError("point-mass weight has no density normalizer")
-        e = 1.0 - self.gamma
-        return (self.beta_max ** e - self.beta_min ** e) / e
 
 
 def gamma_from_mus(p: ParetoIndices) -> float:
@@ -184,31 +175,3 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
     return DemandIndexPoint(gamma=gamma, delta=delta, kappa=kappa,
                             kappa_stderr=kappa_stderr,
                             regime=Regime.SUPERSTATISTICAL)
-
-
-def b_factor(w: BetaWeight, c: float) -> float:
-    """Averaged Boltzmann factor B(c) = int e^{-beta c} f(beta) dbeta,
-    normalized so B(0+) = 1.
-
-    In closed form, with s = beta c and a = 1 - gamma > 0,
-
-        B(c) = c^-a Gamma(a) [P(a, beta_max c) - P(a, beta_min c)] / normalizer
-
-    where P is the regularized lower incomplete gamma function.  Where
-    beta_min c > a both P values are close to 1, and the difference of
-    the upper functions Q = 1 - P keeps the digits.
-    """
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"b_factor requires finite c >= 0, got {c!r}")
-    if c == 0.0:
-        return 1.0
-    if w.degenerate:
-        return math.exp(-w.beta_min * c)
-    a = 1.0 - w.gamma
-    x_lo, x_hi = w.beta_min * c, w.beta_max * c
-    if x_lo > a:
-        mass = gammaincc(a, x_lo) - gammaincc(a, x_hi)
-    else:
-        mass = gammainc(a, x_hi) - gammainc(a, x_lo)
-    scale = math.exp(math.lgamma(a) - a * math.log(c))
-    return scale * float(mass) / w.normalizer()

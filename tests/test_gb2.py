@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from panelgen import write_panel
 from prodstat import gb2, ingest, kernels
@@ -116,6 +116,27 @@ def test_tail_scale_matches_ccdf_asymptote():
         c = 1e6 * p.c1
         approx = (c / gb2.tail_scale(p)) ** (-p.mu)
         assert gb2.ccdf(p, c) == pytest.approx(approx, rel=0.01)
+
+
+def test_digamma_and_trigamma_match_scipy():
+    # digamma changes sign near 1.46, so it is held to 1e-12 absolute or
+    # relative; trigamma is positive and held to 1e-13 relative
+    for x in np.geomspace(1e-3, 1e6, 901).tolist():
+        psi, tri = gb2._psi01(x)
+        ref_psi, ref_tri = special.digamma(x), special.polygamma(1, x)
+        assert abs(psi - ref_psi) <= 1e-12 * max(1.0, abs(ref_psi))
+        assert tri == pytest.approx(ref_tri, rel=1e-13, abs=0.0)
+
+
+def test_reg_inc_beta_matches_scipy_on_a_grid():
+    # both sides of the continued fraction's switch at z = (s+1)/(s+t+2);
+    # the smallest value on the grid is about 1e-203
+    shapes = np.geomspace(0.05, 50.0, 10).tolist()
+    for z in (1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999):
+        for s in shapes:
+            for t in shapes:
+                assert gb2.reg_inc_beta(z, s, t) == pytest.approx(
+                    special.betainc(s, t, z), rel=1e-12, abs=0.0)
 
 
 def test_fit_requires_min_observations():

@@ -95,7 +95,9 @@ def test_parse_row():
 
 def test_ingest_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, prodstat.ingest; "
+    # numpy is the one runtime dependency: scipy is a test reference only
+    probe = ("import sys, prodstat.ingest, prodstat.cli, prodstat.simulate, "
+             "prodstat.thermo; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
@@ -611,6 +613,23 @@ def test_bulk_and_loop_give_identical_records(tmp_path):
     assert a.records.tobytes() == b.records.tobytes()
     assert [(e.line_no, e.message) for e in b.errors] == [
         (402, "non-integer year, sector_code, or workers_eoy")]
+
+
+def test_overlong_integer_reads_alike_with_and_without_a_bad_row(tmp_path):
+    # np.loadtxt reads '0' * 5000 + '2000' as 2000, and int() refuses it
+    # past sys.get_int_max_str_digits(): the loop's answer must hold
+    # whether or not another row sends the file to the loop
+    rows = "".join(f"F{i},{'0' * 5000 * (i == 0)}2000,3,M,10.0,5\n"
+                   for i in range(200))
+    alone = load_csv(_write(tmp_path, rows, "alone.csv"))
+    dirty = load_csv(_write(tmp_path, rows + "BAD,x\n", "dirty.csv"))
+    limited = bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+    assert len(alone.records) == 200 - limited
+    assert alone.records.tobytes() == dirty.records.tobytes()
+    assert list(dirty.errors) == [*alone.errors, ingest.RowError(
+        202, "expected 6 fields, got 2")]
+    assert [(e.line_no, e.message) for e in alone.errors] == limited * [
+        (2, "non-integer year, sector_code, or workers_eoy")]
 
 
 def test_ranksize_plain():

@@ -1,5 +1,5 @@
 """Index algebra (gamma, delta, kappa), regime detection, and the
-averaged Boltzmann factor.  Reference values computed with mpmath."""
+temperature weight."""
 
 import math
 
@@ -8,36 +8,9 @@ import pytest
 
 from prodstat import superstat
 from prodstat.errors import RegimeError
-from prodstat.superstat import (BetaWeight, ParetoIndices, Regime, b_factor,
+from prodstat.superstat import (BetaWeight, ParetoIndices, Regime,
                                 delta_from_gamma, gamma_from_mus,
                                 kappa_from_mus, mu_w_predicted)
-
-# (gamma, beta_min, beta_max, c) -> B(c)
-B_FACTOR_REF = [
-    ((0.5, 0.0001, 2.0, 0.01), 0.99332595331580457),
-    ((0.5, 0.0001, 2.0, 1.0), 0.59528245716646611),
-    ((0.5, 0.0001, 2.0, 50.0), 0.082144239678908667),
-    ((0.5, 0.0001, 2.0, 1000.0), 0.013066760959511785),
-    ((0.0, 0.0001, 2.0, 0.01), 0.99006583797913384),
-    ((0.0, 0.0001, 2.0, 1.0), 0.43230397608041434),
-    ((0.0, 0.0001, 2.0, 50.0), 0.0099506223230429753),
-    ((0.0, 0.0001, 2.0, 1000.0), 0.00045244133108453401),
-    ((-1.0, 0.01, 10.0, 0.01), 0.93576796792352599),
-    ((-1.0, 0.01, 10.0, 1.0), 0.019989038646224094),
-    ((-1.0, 0.01, 10.0, 50.0), 7.278375194926796e-6),
-    ((-1.0, 0.01, 10.0, 1000.0), 9.9879945357412012e-12),
-    # either side of beta_min c = 1 - gamma, where b_factor switches from
-    # the lower to the upper incomplete gamma function, and gamma < 0
-    ((0.5, 0.1, 10.0, 4.0), 0.057777085462173073),
-    ((0.5, 0.1, 10.0, 6.0), 0.034745685540632223),
-    ((0.5, 0.1, 10.0, 100.0), 2.4114591707714766e-7),
-    ((-2.5, 0.5, 3.0, 6.0), 0.00025421337130421583),
-    ((-2.5, 0.5, 3.0, 8.0), 5.7232241224780525e-5),
-    ((-2.5, 0.5, 3.0, 20.0), 3.8794215139673612e-8),
-    ((-0.5, 0.001, 1.0, 100.0), 0.001299590033211535),
-    ((0.9, 1e-05, 1000.0, 1000000.0), 7.8961679259609017e-8),
-]
-
 
 def _indices(mu_f, mu_w):
     return ParetoIndices(mu_f=mu_f, mu_w=mu_w)
@@ -177,43 +150,6 @@ def test_beta_weight_validation():
         BetaWeight(gamma=0.5, beta_min=1.0, beta_max=0.5)
     w = BetaWeight(gamma=0.5, beta_min=0.3, beta_max=0.3)
     assert w.degenerate
-
-
-@pytest.mark.parametrize("args,expected", B_FACTOR_REF)
-def test_b_factor_reference(args, expected):
-    gamma, bmin, bmax, c = args
-    w = BetaWeight(gamma=gamma, beta_min=bmin, beta_max=bmax)
-    # 1e-12: the wrong incomplete-gamma branch loses about 1e-11
-    assert b_factor(w, c) == pytest.approx(expected, rel=1e-12)
-
-
-def test_b_factor_degenerate_is_pure_exponential():
-    w = BetaWeight(gamma=0.0, beta_min=0.5, beta_max=0.5)
-    for c in (0.1, 1.0, 30.0):
-        assert b_factor(w, c) == pytest.approx(math.exp(-0.5 * c), rel=1e-12)
-
-
-def test_b_factor_limits():
-    w = BetaWeight(gamma=0.5, beta_min=1e-4, beta_max=2.0)
-    assert b_factor(w, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert b_factor(w, 1e9) < 1e-8   # beyond the window everything decays
-
-
-def test_b_factor_tail_power_law():
-    # in beta_min << 1/c << beta_max the factor is Gamma(1-gamma) c^(gamma-1)
-    # over the weight normalizer (computed with mpmath for this window)
-    w = BetaWeight(gamma=0.5, beta_min=1e-6, beta_max=100.0)
-    plateau = 0.088631555700845886     # Gamma(0.5) / normalizer
-    for c in (0.05, 0.2, 1.0, 5.0):
-        got = b_factor(w, c) * c ** (1.0 - w.gamma)
-        assert got == pytest.approx(plateau, rel=0.02)
-
-
-def test_b_factor_monotone_decreasing():
-    w = BetaWeight(gamma=0.3, beta_min=1e-3, beta_max=5.0)
-    cs = np.geomspace(1e-3, 1e4, 50)
-    vals = [b_factor(w, c) for c in cs]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_regime_values():
