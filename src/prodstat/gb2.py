@@ -155,7 +155,7 @@ def _inc_beta_cf(z: float, s: float, t: float) -> float:
             g *= c * d
         if abs(c * d - 1.0) <= _CF_EPS:
             return front / g
-    raise ArithmeticError(f"I_z(s, t) did not converge at z={z!r}, s={s!r}, t={t!r}")
+    raise ValueError(f"I_z(s, t) did not converge at z={z!r}, s={s!r}, t={t!r}")
 
 
 def log_pdf(p: Gb2Params, lc: np.ndarray) -> np.ndarray:

@@ -24,11 +24,13 @@ file that the pass cannot read, or that has a malformed row, is read
 again row by row by csv.reader and _parse_row, which alone define each
 malformed row's line number, the physical line the row starts on, and
 its message.  A field past csv's size limit (131072 characters) stops
-that read with a SchemaError naming its line; the pass sends a file
-with such a firm_id or sector_class to it.  int() refuses more digits
-than sys.get_int_max_str_digits(), and an int64 has at most 19
-significant ones, so a file with that many zeros less 18 in a row goes
-to the loop too.  Short of csv's limit, a numeric token either read
+that read with a SchemaError naming its line, and the pass sends a file
+that may hold one to it: a firm_id or sector_class by its parsed
+length, and a number, which holds no comma, by a run of half the limit
+without one in the text.  int() refuses more digits than
+sys.get_int_max_str_digits(), and an int64 has at most 19 significant
+ones, so a file with that many zeros less 18 in a row goes to the loop
+too.  Short of csv's limit, a numeric token either read
 accepts the other reads alike; on a clean panel the loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
@@ -211,6 +213,12 @@ def _load_columns(fh) -> LoadResult | None:
     # 0 is no limit; Python < 3.10.7 has none
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and "0" * (digits - 18) in text:
+        return None
+    # a number past csv's field limit is a longer run without a comma,
+    # and such a run holds one of these windows whole
+    step = csv.field_size_limit() // 2 + 1
+    if any(text.find(",", i, i + step) < 0
+           for i in range(0, len(text) - step + 1, step)):
         return None
     try:
         with warnings.catch_warnings():

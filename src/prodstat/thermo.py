@@ -18,10 +18,14 @@ Quadrature strategy: in x = ln(c - floor), with floor the lower end of
 the support, c^n e^{-beta c} p(c) is smooth and decays at both ends, so
 the trapezoid rule converges geometrically in the step (Trefethen and
 Weideman, SIAM Review 56 (2014) 385).  One rule serves every order n a
-caller needs (Z, <c> and <c^2> together) on one node array; the step is
-halved until two sums agree to the relative target.  The range comes
+caller needs (Z, <c> and <c^2> together) at every beta it needs on one
+node array: the monotonicity check takes each grid beta and its two
+finite-difference neighbours beta (1 +- _FD_STEP) from one pass, and the
+expansion check takes Z and D together.  The step is halved until two
+sums agree to the relative target for every integrand.  The range comes
 from the two edge decay rates: u^(n+a) below the model scale, where
-p ~ u^(a-1), and the e^{-beta u} cutoff above.
+p ~ u^(a-1), and the e^{-beta u} cutoff above, at the largest and the
+smallest beta.
 
 Supported models: GB2, exponential (tail index +inf), and a pure
 power-law tail on [c0, inf) for tail-only work.  parse_model reads one
@@ -215,42 +219,44 @@ def quad(f, a: float, b: float) -> np.ndarray:
     return total
 
 
-def _laplace(m: ThermoModel, beta: float, orders) -> tuple[list, float]:
-    """(values, ln_scale) for beta > 0, from one quad call: each value
-    times e^{ln_scale} is int u^n e^{-beta c} p(c) dc for its n in
-    orders, where u = c - floor.
+def _laplace(m: ThermoModel, betas, orders) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ln_scale) for betas > 0, from one quad call on one node
+    array: values[i, j] times e^{ln_scale[i]} is
+    int u^n e^{-beta c} p(c) dc for beta = betas[i] and n = orders[j],
+    where u = c - floor.  An overflow raises ValueError naming betas[0].
 
     In x = ln u each integrand is smooth and decays like
     e^{(n + low_exp) x} below min(scale, 1/r), r = beta + rate, and above
     like a gamma density in r u of shape at most n + low_exp.  The range
-    keeps _TAIL_EFOLDS e-folds of the first and ends at
-    r u = _TAIL_EFOLDS + 4 (n + low_exp + 1).  Powers of u rather than
-    of c keep the variance of the floor-supported tail model free of
-    cancellation.  The integrands are divided by the largest order-0
-    value on quad's first level, so ratios stay finite where Z
-    underflows; ln_scale restores that factor and e^{-beta floor}.
+    keeps _TAIL_EFOLDS e-folds of the first at the largest beta and ends
+    at r u = _TAIL_EFOLDS + 4 (n + low_exp + 1) at the smallest.  Powers
+    of u rather than of c keep the variance of the floor-supported tail
+    model free of cancellation.  The integrands of each beta are divided
+    by its largest order-0 value on quad's first level, so ratios stay
+    finite where Z underflows; ln_scale restores that factor and
+    e^{-beta floor}.
     """
-    r = beta + m.rate
-    x_lo = (math.log(min(m.scale, 1.0 / r))
+    b = np.asarray(betas, dtype=np.float64)[:, None]
+    r = b + m.rate
+    x_lo = (math.log(min(m.scale, 1.0 / r.max()))
             - _TAIL_EFOLDS / (min(orders) + m.low_exp))
     # a difference of logs: the quotient overflows for r near the normal floor
-    x_hi = math.log(_TAIL_EFOLDS + 4.0 * (max(orders) + m.low_exp + 1.0)) - math.log(r)
+    x_hi = math.log(_TAIL_EFOLDS + 4.0 * (max(orders) + m.low_exp + 1.0)) - math.log(r.min())
     n = np.asarray(orders, dtype=np.float64)[:, None]
-    floor = m.floor
     peak = None
 
     def f(x):
         nonlocal peak
         u = np.exp(x)
-        c = floor + u
-        expo = x + m.ln_p(c, np.log(c) if floor else x) - beta * u
+        c = m.floor + u
+        expo = x + m.ln_p(c, np.log(c) if m.floor else x) - b * u
         if peak is None:
-            peak = float(expo.max())
-        return np.exp(n * x + (expo - peak))
+            peak = expo.max(axis=1, keepdims=True)
+        return np.exp(n * x + (expo - peak)[:, None]).reshape(-1, len(x))
 
-    with _finite_at(beta):
-        vals = quad(f, x_lo, x_hi).tolist()
-    return vals, peak - beta * floor
+    with _finite_at(b[0, 0]):
+        vals = quad(f, x_lo, x_hi).reshape(len(b), len(n))
+    return vals, (peak - b * m.floor)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +269,8 @@ def partition(m: ThermoModel, beta: float) -> float:
         raise ValueError(f"partition requires finite beta >= 0, got {beta!r}")
     if beta == 0.0:
         return 1.0
-    (z,), ln_scale = _laplace(m, beta, (0,))
-    return z * math.exp(ln_scale)
+    vals, ln_scale = _laplace(m, (beta,), (0,))
+    return float(vals[0, 0]) * math.exp(ln_scale[0])
 
 
 def demand(m: ThermoModel, beta: float) -> float:
@@ -284,7 +290,7 @@ def moment(m: ThermoModel, n: int, beta: float) -> float:
             raise DivergentMoment(
                 f"<c^{n}> at beta = 0 diverges for mu_f = {m.mu_f}")
         return m.moment0(n)
-    vals, _ = _laplace(m, beta, range(n + 1))
+    vals = _laplace(m, (beta,), range(n + 1))[0][0].tolist()
     # <c^n> from the moments of u = c - floor, all terms nonnegative
     return sum(math.comb(n, k) * m.floor ** (n - k) * (v / vals[0])
                for k, v in enumerate(vals))
@@ -412,15 +418,14 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     prev_demand = math.inf
     for beta in grid:
         with _finite_at(beta):
-            (z, m1, m2), _ = _laplace(m, beta, (0, 1, 2))
-            mean_u = m1 / z
-            d_mid = m.floor + mean_u
-            d_lo = demand(m, beta * (1.0 - _FD_STEP))
-            d_hi = demand(m, beta * (1.0 + _FD_STEP))
+            # beta and its finite-difference neighbours share one node array
+            vals, _ = _laplace(m, beta * np.array([1.0, 1.0 - _FD_STEP, 1.0 + _FD_STEP]),
+                               (0, 1, 2))
+            d_mid, d_lo, d_hi = (m.floor + vals[:, 1] / vals[:, 0]).tolist()
+            z, m1, m2 = vals[0].tolist()
             dd_dbeta = (d_hi - d_lo) / (2.0 * beta * _FD_STEP)
             dd_dt_fd = -beta * beta * dd_dbeta
-            var = m2 / z - mean_u ** 2
-            dd_dt_var = beta * beta * var
+            dd_dt_var = beta * beta * (m2 / z - (m1 / z) ** 2)
 
         denom = max(abs(dd_dt_fd), abs(dd_dt_var))
         rel = abs(dd_dt_fd - dd_dt_var) / denom if denom > 0.0 else 0.0
@@ -460,7 +465,9 @@ def _check_expansion(m: ThermoModel, grid) -> dict:
     points = []
     prev = None
     for beta in small:
-        deficits = (m.mean0 - demand(m, beta), 1.0 - partition(m, beta))
+        vals, ln_scale = _laplace(m, (beta,), (0, 1))
+        z, m1 = vals[0].tolist()
+        deficits = (m.mean0 - (m.floor + m1 / z), 1.0 - z * math.exp(ln_scale[0]))
         kept = (m.mean0 - demand_expansion(m, beta),
                 1.0 - partition_expansion(m, beta))
         errs = [abs(k / d - 1.0) if abs(d) > n else None

@@ -777,6 +777,29 @@ def test_ranksize_with_fit(super_panel, tmp_path):
     assert all(b <= a for a, b in zip(ccdfs, ccdfs[1:]))
 
 
+def test_ranksize_fit_curve_not_converging_exits_one(super_panel, tmp_path,
+                                                    monkeypatch, capsys):
+    # shapes mu/q = nu/q = 1e12 with c1 at the smallest c put the curve's
+    # first point at z = 1/2, where the continued fraction of I_z(s, t)
+    # does not converge: one error line, no traceback
+    fit_mle = gb2.fit_mle
+
+    def extreme_fit(c, weights):
+        return dataclasses.replace(
+            fit_mle(c, weights),
+            params=gb2.Gb2Params(1e12, 1e12, 1.0, float(np.min(c))))
+
+    monkeypatch.setattr(gb2, "fit_mle", extreme_fit)
+    code = main(["ranksize", "--input", super_panel, "--year", "2000",
+                 "--class", "M", "--target", "workers", "--fit",
+                 "--out-tsv", str(tmp_path / "rs.tsv"),
+                 "--fit-out", str(tmp_path / "rs_fit.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prodstat: I_z(s, t) did not converge at z=")
+    assert err.count("\n") == 1
+
+
 def test_ranksize_small_slice_skips_fit(tmp_path, capsys):
     # two firms, one year: points still written, no fit attempted
     path = tmp_path / "tiny.csv"

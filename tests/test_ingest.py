@@ -207,6 +207,11 @@ _LIMIT = csv.field_size_limit()
     "X" * (_LIMIT + 1) + ",2000,3,M,10.0,5",
     '"' + "X," * (_LIMIT // 2 + 1) + '",2000,3,M,10.0,5',   # quoted commas
     "X,2000,3," + " " * _LIMIT + "M,10.0,5",                # stripped to M
+    "X," + " " * _LIMIT + "2000,3,M,10.0,5",                # padded numbers
+    "X,2000,3,M,10.0,5" + " " * _LIMIT,
+    "X,2000,3,M,1." + "5" * _LIMIT + ",5",
+    # a quoted number over two lines, neither past the limit
+    'X,"' + " " * (_LIMIT // 2) + "\n" + " " * (_LIMIT // 2) + '2000",3,M,10.0,5',
 ])
 @pytest.mark.parametrize("bad", ["", "BAD,x,y,z,q,w\n"])
 def test_field_past_csv_limit_names_its_line(tmp_path, row, bad):

@@ -151,6 +151,13 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, -1.0, 1.0)
 
 
+def test_reg_inc_beta_not_converging_raises_value_error():
+    # at s = t = 1e12 and z next to 1/2 the continued fraction does not
+    # settle within _CF_MAX_ITER steps
+    with pytest.raises(ValueError, match=r"I_z\(s, t\) did not converge"):
+        reg_inc_beta(0.49999999, 1e12, 1e12)
+
+
 def test_log_beta_vs_gamma():
     for s, t in [(0.5, 0.5), (3.0, 1.2), (0.1, 8.0), (40.0, 2.0)]:
         direct = log_beta(s, t)

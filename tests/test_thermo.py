@@ -361,12 +361,43 @@ def test_monotonicity_refuses_subnormal_beta():
 
 
 def test_monotonicity_nan_route_fails_its_point(monkeypatch):
+    # a NaN demand at the finite-difference neighbours (rows 1 and 2 of
+    # the one _laplace call per grid point) makes that route NaN
     m = ThermoModel.exponential(1.0)
-    monkeypatch.setattr(thermo, "demand", lambda model, beta: math.nan)
+    laplace = thermo._laplace
+
+    def nan_neighbours(model, betas, orders):
+        vals, ln_scale = laplace(model, betas, orders)
+        vals[1:, 1] = math.nan
+        return vals, ln_scale
+
+    monkeypatch.setattr(thermo, "_laplace", nan_neighbours)
     report = thermo.check_monotonicity(m, [0.5, 1.0])
     assert all(math.isnan(p.dd_dt_fd) for p in report.points)
     assert [p.passed for p in report.points] == [False, False]
     assert not report.all_passed
+
+
+def test_one_quad_call_per_point(monkeypatch):
+    # the monotonicity scan takes D at each grid beta and at its two
+    # finite-difference neighbours, and the expansion check Z and D at
+    # each of its points, from one quad call per point
+    calls = []
+    quad = thermo.quad
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return quad(f, a, b)
+
+    monkeypatch.setattr(thermo, "quad", counted)
+    m = _gb2_model(2.5, 0.8, 1.2, 2.0)
+    grid = np.geomspace(1e-4, 1e2, 25)
+    assert thermo.check_monotonicity(m, grid).all_passed
+    assert len(calls) == len(grid)
+    for points, betas in ((3, grid), (2, grid[:1])):
+        calls.clear()
+        expansion = thermo._check_expansion(m, betas)
+        assert len(expansion["points"]) == points == len(calls)
 
 
 def test_monotonicity_exponential_variance_closed_form():
