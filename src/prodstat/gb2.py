@@ -143,8 +143,18 @@ def reg_inc_beta(z: float, s: float, t: float) -> float:
 def _inc_beta_cf(z: float, s: float, t: float) -> float:
     """I_z(s, t) = front / (1 + d_1 / (1 + d_2 / (1 + ...))) by the
     modified Lentz method (Press et al., Numerical Recipes, 3rd ed.,
-    6.4), which converges fast for z < (s+1)/(s+t+2)."""
-    front = math.exp(s * math.log(z) + t * math.log1p(-z) - _log_beta(s, t)) / s
+    6.4), which converges fast for z < (s+1)/(s+t+2).  With both shapes
+    >= 10, s ln z + t ln(1-z) - ln B(s, t) takes ln B from Stirling's
+    series about p = s/(s+t), so that its large terms cannot cancel."""
+    if s >= 10.0 and t >= 10.0:
+        p = s / (s + t)
+        q = 1.0 - p
+        front = math.exp(s * math.log(z / p) + t * math.log((1.0 - z) / q)
+                         + 0.5 * math.log(p * t / (2.0 * math.pi))
+                         - s * _series(_STIRLING, s) - t * _series(_STIRLING, t)
+                         + (s + t) * _series(_STIRLING, s + t)) / s
+    else:
+        front = math.exp(s * math.log(z) + t * math.log1p(-z) - _log_beta(s, t)) / s
     c, d, g = 1.0, 0.0, 1.0
     for m in range(_CF_MAX_ITER):
         # d_2m+1, then d_2m+2

@@ -19,26 +19,29 @@ firm_id, year and reason.  sector_class holds the CSV code, M or N.
 The CSV may quote fields, as spreadsheets write them; whitespace
 around a field is stripped, blank lines are skipped and a UTF-8
 byte-order mark is accepted.  One np.loadtxt pass parses the data rows
-into whole columns, and whole-column tests apply the rules below.  A
-file that the pass cannot read, or that has a malformed row, is read
-again row by row by csv.reader and _parse_row, which alone define each
-malformed row's line number, the physical line the row starts on, and
-its message.  A field past csv's size limit (131072 characters) stops
-that read with a SchemaError naming its line, and the pass sends a file
-that may hold one to it: a firm_id or sector_class by its parsed
-length, and a number, which holds no comma, by a run of half the limit
-without one in the text.  int() refuses more digits than
-sys.get_int_max_str_digits(), and an int64 has at most 19 significant
-ones, so a file with that many zeros less 18 in a row goes to the loop
-too.  Short of csv's limit, a numeric token either read
-accepts the other reads alike; on a clean panel the loop never runs.
+into whole columns.  A file that the pass cannot read, or that has a
+malformed row, is read again row by row by csv.reader and _parse_row,
+which alone define a malformed row, its line number (the physical line
+the row starts on) and its message.  A field past csv's size limit
+(131072 characters) stops that read with a SchemaError naming its
+line.  The pass sends to the loop every file whose text has a run
+without a comma as long as the smaller of that limit and
+sys.get_int_max_str_digits() - 18, which any numeric field past the
+limit and any integer token that int() refuses and an int64 holds
+contain, and every file with a parsed firm_id or sector_class past the
+limit.  Both reads end in the same column step, which applies the
+load-stage rules to whole columns and assembles the records, so the
+records do not tell which read took the file; on a clean panel the
+loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
-sector class) are errors and become fatal past 1% of data rows; rows
-that parse but violate a domain rule (zero workers, sector code out of
-range) are load-stage exclusions and never fatal.  Both kinds are rare
-rejected rows, kept as tuples of RowError and Exclusion records.
+sector class, a year or workers_eoy of 2**62 or more in size, whatever
+the row's other fields) are errors and become fatal past 1% of data
+rows; rows that parse but violate a domain rule (zero or negative
+workers, sector code out of range) are load-stage exclusions and never
+fatal.  Both kinds are rare rejected rows, kept as tuples of RowError
+and Exclusion records.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ CLASS_CODES = ("M", "N")
 # np.loadtxt's columns: the strings as str objects, stripped after the parse
 _COLUMNS_DTYPE = np.dtype(list(zip(SCHEMA_V1, (object, np.int64, np.int64,
                                                object, np.float64, np.int64))))
+# the row loop's columns: _parse_row's values, cast once a row is kept
+_ROWS_DTYPE = np.dtype([(name, object) for name in SCHEMA_V1])
 
 
 @dataclass(frozen=True)
@@ -164,30 +169,19 @@ def load_csv(path) -> LoadResult:
         next(numbered)
         rows: list[tuple] = []
         errors: list[RowError] = []
-        exclusions: list[Exclusion] = []
         for line_no, row in numbered:
-            if not row:
-                continue
-            try:
-                values, reason = _parse_row(row)
-            except ValueError as exc:
-                errors.append(RowError(line_no, str(exc)))
-                continue
-            if reason is None:
-                rows.append(values)
-            else:
-                exclusions.append(Exclusion(values[0], values[1], reason))
-    n_rows = len(rows) + len(errors) + len(exclusions)
+            if row:
+                try:
+                    rows.append(_parse_row(row))
+                except ValueError as exc:
+                    errors.append(RowError(line_no, str(exc)))
+    n_rows = len(rows) + len(errors)
     if errors and len(errors) > _BAD_ROW_FRACTION * n_rows:
         raise TooManyBadRows(
             f"{len(errors)} malformed rows out of {n_rows} "
             f"(threshold {_BAD_ROW_FRACTION:.0%}); first: "
             f"line {errors[0].line_no}: {errors[0].message}")
-    id_width = max((len(values[0]) for values in rows), default=1)
-    kinds = (f"U{id_width}", np.int64, np.int64, "U1", np.float64, np.int64)
-    records = np.array(rows, dtype=list(zip(SCHEMA_V1, kinds)))
-    return LoadResult(records=records, errors=tuple(errors),
-                      exclusions=tuple(exclusions))
+    return _load_result(np.array(rows, dtype=_ROWS_DTYPE), tuple(errors))
 
 
 def _numbered_rows(fh):
@@ -210,16 +204,18 @@ def _load_columns(fh) -> LoadResult | None:
     """The rest of fh parsed in one np.loadtxt pass, or None if the
     parse fails or warns, or _parse_row would reject a row."""
     text = fh.read()
-    # 0 is no limit; Python < 3.10.7 has none
+    # a field past csv's limit, or an integer token that int() refuses
+    # and an int64 holds (19 significant digits at most, so the digit
+    # limit less 18 leading zeros), is a run of text without a comma;
+    # a digit limit of 0 is none, and Python < 3.10.7 has none
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and "0" * (digits - 18) in text:
-        return None
-    # a number past csv's field limit is a longer run without a comma,
-    # and such a run holds one of these windows whole
-    step = csv.field_size_limit() // 2 + 1
-    if any(text.find(",", i, i + step) < 0
-           for i in range(0, len(text) - step + 1, step)):
-        return None
+    run = min(csv.field_size_limit(), digits - 18 if digits else math.inf)
+    i = 0
+    while i + run <= len(text):
+        comma = text.rfind(",", i, i + run)
+        if comma < 0:
+            return None
+        i = comma + 1       # no run of `run` characters starts before this
     try:
         with warnings.catch_warnings():
             # numpy warns on a file with no data rows, and numpy < 2 on
@@ -234,34 +230,40 @@ def _load_columns(fh) -> LoadResult | None:
     # which int() and float() accept; it strips numbers, not strings,
     # and reads strings past csv's field size limit, which csv.reader rejects
     raw_ids, raw_classes = cols["firm_id"].tolist(), cols["sector_class"].tolist()
-    firm_id = [x.strip() for x in raw_ids]
-    sector_class = [x.strip() for x in raw_classes]
-    year, code, workers = cols["year"], cols["sector_code"], cols["workers_eoy"]
-    reason = np.select([workers == 0, workers < 0, (code < 1) | (code > _N_SECTORS)],
-                       [R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE], "")
-    keep = reason == ""
-    big = (year >= _INT_LIMIT) | (year <= -_INT_LIMIT) | (workers >= _INT_LIMIT)
+    cols["firm_id"] = firm_id = [x.strip() for x in raw_ids]
+    cols["sector_class"] = sector_class = [x.strip() for x in raw_classes]
+    year, workers = cols["year"], cols["workers_eoy"]
     longest = max(map(len, [*raw_ids, *set(raw_classes)]))
     if ("" in firm_id or longest > csv.field_size_limit()
             or not set(sector_class) <= set(CLASS_CODES)
-            or not np.isfinite(cols["value_added"]).all() or (big & keep).any()):
+            or not np.isfinite(cols["value_added"]).all()
+            or ((year >= _INT_LIMIT) | (year <= -_INT_LIMIT)
+                | (workers >= _INT_LIMIT)).any()):
         return None
-    out = np.flatnonzero(~keep).tolist()
-    exclusions = tuple(map(Exclusion, [firm_id[i] for i in out],
+    return _load_result(cols)
+
+
+def _load_result(cols: np.ndarray, errors: tuple[RowError, ...] = ()) -> LoadResult:
+    """Both reads end here: the parsed rows' six SCHEMA_V1 columns, typed
+    by np.loadtxt or holding _parse_row's values, become the load-stage
+    exclusions and the records of the rows kept."""
+    year, code, workers = cols["year"], cols["sector_code"], cols["workers_eoy"]
+    reason = np.select([workers == 0, workers < 0, (code < 1) | (code > _N_SECTORS)],
+                       [R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE], "")
+    out = reason != ""
+    exclusions = tuple(map(Exclusion, cols["firm_id"][out].tolist(),
                            year[out].tolist(), reason[out].tolist()))
-    ids = np.array(firm_id, dtype=object)[keep]
-    classes = np.array(sector_class, dtype=object)[keep]
-    id_width = max(map(len, ids.tolist()), default=1)
-    records = _table(firm_id=ids.astype(f"U{id_width}"), year=year[keep],
-                     sector_code=code[keep], sector_class=classes.astype("U1"),
-                     value_added=cols["value_added"][keep],
-                     workers_eoy=workers[keep])
-    return LoadResult(records=records, errors=(), exclusions=exclusions)
+    kept = cols[~out]
+    id_width = max(map(len, kept["firm_id"].tolist()), default=1)
+    kinds = (f"U{id_width}", np.int64, np.int64, "U1", np.float64, np.int64)
+    records = _table(**{name: kept[name].astype(kind)
+                        for name, kind in zip(SCHEMA_V1, kinds)})
+    return LoadResult(records=records, errors=errors, exclusions=exclusions)
 
 
-def _parse_row(row) -> tuple[tuple, str | None]:
-    """The row's values in SCHEMA_V1 order and its load-stage exclusion
-    reason or None; ValueError with the message if malformed."""
+def _parse_row(row) -> tuple:
+    """The row's values in SCHEMA_V1 order, or ValueError with the
+    message if the row is malformed: the one definition of that."""
     if len(row) != len(SCHEMA_V1):
         raise ValueError(f"expected {len(SCHEMA_V1)} fields, got {len(row)}")
     firm_id, year_s, code_s, class_s, value_s, workers_s = (x.strip() for x in row)
@@ -283,11 +285,9 @@ def _parse_row(row) -> tuple[tuple, str | None]:
         raise ValueError(f"value_added {value_s!r} is infinite")
     if class_s not in CLASS_CODES:
         raise ValueError(f"unknown sector_class {class_s!r} (want M or N)")
-    reason = (R_ZERO_WORKERS if workers == 0 else R_NEGATIVE_WORKERS if workers < 0
-              else None if 1 <= code <= _N_SECTORS else R_SECTOR_RANGE)
-    if reason is None and (abs(year) >= _INT_LIMIT or workers >= _INT_LIMIT):
+    if abs(year) >= _INT_LIMIT or workers >= _INT_LIMIT:
         raise ValueError("year or workers_eoy out of range")
-    return (firm_id, year, code, class_s, value, workers), reason
+    return firm_id, year, code, class_s, value, workers
 
 
 def build_samples(records: np.ndarray,

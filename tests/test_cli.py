@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import gb2, simulate, thermo
+from prodstat import gb2, ingest, simulate, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
@@ -261,6 +261,28 @@ def test_index_series_and_kappa_consistency(super_panel, tmp_path):
     assert abs(series[0]["kappa_stderr"] - point.kappa_stderr) < 1e-12
 
     _assert_tsv_holds_json(out_tsv, series)
+
+
+def test_index_alike_whichever_read_takes_the_panel(tmp_path):
+    # one malformed row sends the file from the np.loadtxt pass to the
+    # csv row loop; both end in one column step, so the index must not move
+    clean = write_panel(tmp_path / "clean.csv", n_firms=2000, mu=2.2, nu=2.0,
+                        weight_exp=-0.5, seed=23)
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(Path(clean).read_text() + "BAD,x,y,z,q,w\n")
+    assert [len(ingest.load_csv(p).errors) for p in (clean, dirty)] == [0, 1]
+    outputs = []
+    for path in (Path(clean), dirty):
+        out_json = tmp_path / f"{path.stem}.json"
+        out_tsv = tmp_path / f"{path.stem}.tsv"
+        assert main(["index", "--input", str(path), "--years", "2000..2001",
+                     "--class", "M", "--out-json", str(out_json),
+                     "--out-tsv", str(out_tsv)]) == 0
+        tsv = out_tsv.read_text().splitlines()
+        assert tsv[0].startswith("# manifest: ")
+        outputs.append((json.loads(out_json.read_text())["series"], tsv[1:]))
+    assert outputs[0] == outputs[1]
+    assert [len(rows) for _, rows in outputs] == [3, 3]
 
 
 def test_index_unconverged_fit_exit_three(unconverged_panel, tmp_path):

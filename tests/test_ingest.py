@@ -86,9 +86,9 @@ def test_byte_order_mark_accepted(tmp_path):
 
 def test_parse_row():
     assert ingest._parse_row([" A", "2000", "3", "M", "1.5", "4 "]) == (
-        ("A", 2000, 3, "M", 1.5, 4), None)
+        "A", 2000, 3, "M", 1.5, 4)
     assert ingest._parse_row(["A", "2000", "3", "M", "1.5", "0"]) == (
-        ("A", 2000, 3, "M", 1.5, 0), ingest.R_ZERO_WORKERS)
+        "A", 2000, 3, "M", 1.5, 0)
     with pytest.raises(ValueError, match="^unknown sector_class 'Q'"):
         ingest._parse_row(["A", "2000", "3", "Q", "1.5", "0"])
 
@@ -512,10 +512,14 @@ def _reference_load(path):
         if not row:
             continue
         try:
-            values, reason = ingest._parse_row(row)
+            values = ingest._parse_row(row)
         except ValueError as exc:
             errors.append(ingest.RowError(line_no, str(exc)))
             continue
+        code, workers = values[2], values[5]
+        reason = (ingest.R_ZERO_WORKERS if workers == 0
+                  else ingest.R_NEGATIVE_WORKERS if workers < 0
+                  else None if 1 <= code <= 26 else ingest.R_SECTOR_RANGE)
         if reason is None:
             kept.append(values)
         else:
@@ -543,8 +547,6 @@ _BULK_EDITS = [
     lambda r: r[:5] + ["+" + r[5]],
     lambda r: r[:3] + [f" {r[3]} "] + r[4:],
     lambda r: r[:4] + [f'"{r[4]}"', f" {r[5]} "],
-    lambda r: [r[0], str(2 ** 62 + 7), r[2], r[3], r[4], "0"],
-    lambda r: [r[0], str(-(2 ** 62)), r[2], r[3], r[4], "-3"],
     lambda r: r[:2] + ["0"] + r[3:],
     lambda r: r[:2] + ["27"] + r[3:],
 ]
@@ -554,7 +556,6 @@ _LOOP_EDITS = [
     lambda r: r[:4] + ["1_250.5", r[5]],
     lambda r: [r[0], r[1].translate(_FULL_WIDTH)] + r[2:],
     lambda r: r[:2] + [str(2 ** 63)] + r[3:],
-    lambda r: [r[0], str(2 ** 63 + 1), r[2], r[3], r[4], "0"],
 ]
 # malformed rows
 _BAD_EDITS = [
@@ -563,6 +564,10 @@ _BAD_EDITS = [
     lambda r: [r[0], str(2 ** 63)] + r[2:],
     lambda r: [r[0], str(2 ** 62)] + r[2:],
     lambda r: r[:5] + [str(2 ** 64)],
+    # past 2**62 on a row that would be excluded: malformed all the same
+    lambda r: [r[0], str(2 ** 62 + 7), r[2], r[3], r[4], "0"],
+    lambda r: [r[0], str(-(2 ** 62)), r[2], r[3], r[4], "-3"],
+    lambda r: [r[0], str(2 ** 63 + 1), r[2], r[3], r[4], "0"],
 ]
 
 
@@ -635,6 +640,55 @@ def test_overlong_integer_reads_alike_with_and_without_a_bad_row(tmp_path):
         202, "expected 6 fields, got 2")]
     assert [(e.line_no, e.message) for e in alone.errors] == limited * [
         (2, "non-integer year, sector_code, or workers_eoy")]
+
+
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# the guard's run: a text with this many characters in a row without a
+# comma goes to the row loop
+_RUN = min(_LIMIT, _DIGITS - 18) if _DIGITS else _LIMIT
+_needs_digit_limit = pytest.mark.skipif(not _DIGITS, reason="int() has no digit limit")
+
+
+@pytest.mark.parametrize("first,bulk", [
+    pytest.param("X," + "0" * _RUN + "2000,3,M,10.0,5", False,
+                 marks=_needs_digit_limit),
+    pytest.param("X," + "0" * (_RUN - 4) + "2000,3,M,10.0,5", False,
+                 marks=_needs_digit_limit),
+    pytest.param("X," + "0" * (_RUN - 5) + "2000,3,M,10.0,5", True,
+                 marks=_needs_digit_limit),
+    ("X" * _RUN + ",2000,3,M,10.0,5", False),
+    ("X" * (_RUN - 1) + ",2000,3,M,10.0,5", True),
+])
+def test_comma_free_run_guard_edges(tmp_path, first, bulk):
+    # the first data row's run starts the scanned text, so its length is
+    # the run's: a run of _RUN goes to the loop and one less does not,
+    # and the records do not tell which read took the file
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    alone = _write(tmp_path, first + "\n" + good, "alone.csv")
+    dirty = _write(tmp_path, first + "\n" + good + "BAD,x,y,z,q,w\n", "dirty.csv")
+    assert _takes_bulk_parse(alone) == bulk
+    assert not _takes_bulk_parse(dirty)
+    a, b = load_csv(alone), load_csv(dirty)
+    assert len(a.records) == 200 and a.errors == ()
+    assert a.records.dtype == b.records.dtype
+    assert a.records.tobytes() == b.records.tobytes()
+    assert list(b.errors) == [ingest.RowError(
+        202, "non-integer year, sector_code, or workers_eoy")]
+
+
+def test_range_rule_holds_on_excluded_rows(tmp_path):
+    # a year or workers_eoy of 2**62 or more in size is malformed whatever
+    # the row's other fields, under either read
+    for row in (["A", str(2 ** 62), "3", "M", "1.5", "0"],
+                ["A", str(-(2 ** 62)), "3", "M", "1.5", "-3"],
+                ["A", "2000", "99", "M", "1.5", str(2 ** 62)]):
+        with pytest.raises(ValueError, match="^year or workers_eoy out of range$"):
+            ingest._parse_row(row)
+        good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+        for bad in ("", "BAD,x,y,z,q,w\n"):
+            result = load_csv(_write(tmp_path, good + ",".join(row) + "\n" + bad))
+            assert len(result.records) == 199 and result.exclusions == ()
+            assert [e.line_no for e in result.errors] == [201, 202][:1 + bool(bad)]
 
 
 def test_ranksize_plain():

@@ -29,6 +29,27 @@ INC_BETA_REF = [
     ((0.99, 50.0, 0.02), 0.01136845072630811493862106732287333639660),
 ]
 
+# (z, s, t) -> I_z(s, t) with both shapes >= 10, on both sides of the
+# switch z = (s+1)/(s+t+2) to the symmetric form; mpmath (50 digits) from
+# x^s (1-x)^t / (s B(s, t)) 2F1(s+t, 1; s+1; x) with x on the near side
+INC_BETA_LARGE_REF = [
+    ((0.45, 10.0, 12.0), 0.4883135430783528728617),
+    ((0.55, 12.0, 10.0), 0.5116864569216473335373),
+    ((0.0025, 10.0, 5000.0), 0.8006202173160542164977),
+    ((0.998, 5000.0, 10.0), 0.4555524944046158265547),
+    ((0.3, 200.0, 400.0), 0.03974014158348614699642),
+    ((0.49, 1000.0, 1000.0), 0.1855526594315114499426),
+    ((0.5, 1000.0, 1000.0), 0.5),
+    ((0.51, 1000.0, 1000.0), 0.8144473405684885500574),
+    ((0.25, 1250.0, 3750.0), 0.5021716350545114075079),
+    ((0.26, 1250.0, 3750.0), 0.9478398815443175125263),
+    ((0.83, 2500.0, 500.0), 0.3091887249927853357571),
+    ((0.84, 2500.0, 500.0), 0.8363407071152446611778),
+    ((0.7, 5000.0, 2000.0), 0.004344405808991758754569),
+    ((0.71, 5000.0, 2000.0), 0.2132709987281491074395),
+    ((0.714, 5000.0, 2000.0), 0.4773992121490552892041),
+]
+
 # x -> (digamma(x), trigamma(x)): both sides of the recurrence's stop
 # at x = 10, where the asymptotic series takes over
 PSI_REF = [
@@ -75,6 +96,14 @@ def test_reg_inc_beta_reference(args, expected):
     z, s, t = args
     got = reg_inc_beta(z, s, t)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("args,expected", INC_BETA_LARGE_REF)
+def test_reg_inc_beta_large_shapes_reference(args, expected):
+    # s ln z + t ln(1-z) and ln B(s, t) are each of order s + t here:
+    # taken apart, their difference lost up to 4e-12 relative
+    z, s, t = args
+    assert reg_inc_beta(z, s, t) == pytest.approx(expected, rel=5e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("x,psi,tri", PSI_REF)
