@@ -12,12 +12,14 @@ A subcommand writes what the library returns; every check and pass rule
 is the library's (simulate.check_window, thermo.check_model, ...), and
 so are the scenario file and model spec grammars
 (simulate.parse_scenario, thermo.parse_model).
-Every output embeds a run manifest (command, input paths, filter
-config, seed, tool version, timestamp).  JSON outputs write result
-dataclasses as they are: the ``fit`` object carries every field of
-gb2.FitResult, ``report.json`` every field of
-simulate.TailRelationReport, and the monotonicity points every field
-of thermo.MonotonicityPoint, each under its own name.  Timestamps honor
+Every output embeds a run manifest, the dict of command, input paths,
+filter config, seed, tool version and timestamp.  JSON outputs write
+result dataclasses as they are: the ``fit`` object carries every field
+of gb2.FitResult and ``report.json`` every field of
+simulate.TailRelationReport, each under its own name, and the
+monotonicity points, one structured array, are one object per row
+keyed by its field names.  TSV outputs are written from whole columns,
+one per header name.  Timestamps honor
 SOURCE_DATE_EPOCH so runs can be made byte-reproducible; PRODSTAT_SEED
 supplies a default seed to scenarios that omit one.
 
@@ -55,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: tuple[str, ...]
-    filters: dict
-    seed: int | None
-    tool_version: str
-    timestamp: str
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
@@ -74,13 +66,13 @@ def _timestamp() -> str:
     return dt.isoformat()
 
 
-def _manifest(command: str, inputs=(), filters=None, seed=None) -> RunManifest:
-    return RunManifest(command=command, inputs=tuple(str(p) for p in inputs),
-                       filters=filters or {}, seed=seed,
-                       tool_version=__version__, timestamp=_timestamp())
+def _manifest(command: str, inputs=(), filters=None, seed=None) -> dict:
+    return {"command": command, "inputs": [str(p) for p in inputs],
+            "filters": filters or {}, "seed": seed,
+            "tool_version": __version__, "timestamp": _timestamp()}
 
 
-def _panel_manifest(command: str, args, **slice_filters) -> RunManifest:
+def _panel_manifest(command: str, args, **slice_filters) -> dict:
     """Manifest of a panel subcommand: its CSV, sample filters and slice."""
     return _manifest(command, inputs=[args.input],
                      filters={"min_workers": args.min_workers,
@@ -90,7 +82,8 @@ def _panel_manifest(command: str, args, **slice_filters) -> RunManifest:
 
 def _json_safe(obj):
     """Recursively convert to JSON-clean values (dataclass -> dict of its
-    fields, NaN -> null, numpy -> python)."""
+    fields, structured array -> one dict per row, NaN -> null, numpy ->
+    python)."""
     if dataclasses.is_dataclass(obj):
         obj = vars(obj)
     if isinstance(obj, dict):
@@ -104,7 +97,9 @@ def _json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
+        names = obj.dtype.names
+        return [_json_safe(dict(zip(names, v)) if names else v)
+                for v in obj.tolist()]
     return obj
 
 
@@ -117,11 +112,13 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text)
 
 
-def _write_tsv(path: str, manifest: RunManifest, header: list[str],
-               rows) -> None:
+def _write_tsv(path: str, manifest: dict, columns: dict) -> None:
+    """A TSV of columns, a mapping from header name to a whole column
+    (array or list), under a manifest comment line."""
     lines = ["# manifest: " + json.dumps(_json_safe(manifest), sort_keys=True)]
-    lines.append("\t".join(header))
-    for row in rows:
+    lines.append("\t".join(columns))
+    for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in columns.values()), strict=True):
         lines.append("\t".join(_fmt_cell(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -236,16 +233,16 @@ def _cmd_index(args) -> int:
                                 "kappa undefined")
         series.append(entry)
     _write_json(args.out_json, {"manifest": manifest, "series": series})
-    rows = [[e[col] for col in _INDEX_COLUMNS]
-            for e in series if "error" not in e]
+    fitted = [e for e in series if "error" not in e]
     if args.out_tsv:
-        _write_tsv(args.out_tsv, manifest, _INDEX_COLUMNS, rows)
-    if not rows:
+        _write_tsv(args.out_tsv, manifest,
+                   {col: [e[col] for e in fitted] for col in _INDEX_COLUMNS})
+    if not fitted:
         print("index: no year produced an index: " + "; ".join(
             f"{e['year']}: {e['error']}" for e in series), file=sys.stderr)
         return 2
     converged = all(e["firm_converged"] and e["worker_converged"]
-                    for e in series if "error" not in e)
+                    for e in fitted)
     return 0 if converged else 3
 
 
@@ -277,10 +274,9 @@ def _cmd_simulate(args) -> int:
             print(f"simulate: {exc}", file=sys.stderr)
             return 4
     out = simulate.run_sim(cfg)
+    c_k = out.firm_productivities
     _write_tsv(os.path.join(args.out_dir, "firms.tsv"), manifest,
-               ["firm_id", "c_k", "n_k"],
-               ((i, float(c), int(n)) for i, (c, n) in enumerate(
-                   zip(out.firm_productivities, out.worker_counts))))
+               {"firm_id": range(len(c_k)), "c_k": c_k, "n_k": out.worker_counts})
     diag = {"manifest": manifest,
             "total_workers": int(out.worker_counts.sum()),
             "n_epochs": cfg.n_epochs,
@@ -335,8 +331,7 @@ def _cmd_ranksize(args) -> int:
                                target=args.target)
     weights = _weights(samples, args.target)
     c_desc, frac = ingest.ranksize(samples["c"], weights)
-    _write_tsv(args.out_tsv, manifest, ["c", "rank_fraction"],
-               zip(c_desc.tolist(), frac.tolist()))
+    _write_tsv(args.out_tsv, manifest, {"c": c_desc, "rank_fraction": frac})
 
     if args.fit:
         try:
@@ -345,9 +340,9 @@ def _cmd_ranksize(args) -> int:
             print(f"ranksize: {exc}; skipping the fitted curve",
                   file=sys.stderr)
             return 0
-        cs = np.geomspace(c_desc[-1], c_desc[0], 200)
-        curve = [(float(c), gb2.ccdf(result.params, float(c))) for c in cs]
-        _write_tsv(args.fit_out, manifest, ["c", "ccdf"], curve)
+        cs = np.geomspace(c_desc[-1], c_desc[0], 200).tolist()
+        _write_tsv(args.fit_out, manifest,
+                   {"c": cs, "ccdf": [gb2.ccdf(result.params, c) for c in cs]})
         return 0 if result.converged else 3
     return 0
 

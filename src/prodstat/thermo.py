@@ -382,26 +382,25 @@ def expansion_error_orders(m: ThermoModel, x: float) -> tuple[float, float]:
 # monotonicity report
 
 
-@dataclass(frozen=True)
-class MonotonicityPoint:
-    beta: float
-    demand: float
-    dd_dt_fd: float        # -beta^2 * dD/dbeta by central finite difference
-    dd_dt_var: float       # beta^2 * (<c^2>_beta - <c>_beta^2)
-    rel_diff: float
-    passed: bool
+# one monotonicity point per grid beta: dd_dt_fd is -beta^2 dD/dbeta by
+# central finite difference, dd_dt_var is beta^2 (<c^2>_beta - <c>_beta^2)
+_POINT_DTYPE = np.dtype([("beta", np.float64), ("demand", np.float64),
+                         ("dd_dt_fd", np.float64), ("dd_dt_var", np.float64),
+                         ("rel_diff", np.float64), ("passed", np.bool_)])
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    points: tuple[MonotonicityPoint, ...]
+    points: np.ndarray         # structured, _POINT_DTYPE, one row per beta
     all_passed: bool
 
 
 def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
     """Verify dD/dT >= 0 along the grid and that the two routes to dD/dT
     (finite difference, variance identity) agree to 1e-4 relative, with
-    absolute floors 1e-10 for unitless beta^2 Var and 1e-10 mean0 for D."""
+    absolute floors 1e-10 for unitless beta^2 Var and 1e-10 mean0 for D.
+    The report's points are one structured array of _POINT_DTYPE, a row
+    per grid beta."""
     grid = np.asarray(beta_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("beta_grid must be a nonempty 1-d sequence")
@@ -414,7 +413,7 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
         raise ValueError(f"beta_grid point {float(grid[0])!r} is not a normal float")
 
     var_floor, d_floor = 1e-10, 1e-10 * m.mean0
-    points = []
+    rows = []
     prev_demand = math.inf
     for beta in grid:
         with _finite_at(beta):
@@ -433,13 +432,11 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
                  and (rel <= _VAR_AGREEMENT or denom <= var_floor))
         nonneg = dd_dt_var >= -var_floor
         noninc = d_mid <= prev_demand * (1.0 + 1e-12) + d_floor
-        points.append(MonotonicityPoint(
-            beta=float(beta), demand=d_mid, dd_dt_fd=dd_dt_fd,
-            dd_dt_var=dd_dt_var, rel_diff=rel,
-            passed=bool(agree and nonneg and noninc)))
+        rows.append((beta, d_mid, dd_dt_fd, dd_dt_var, rel,
+                     agree and nonneg and noninc))
         prev_demand = d_mid
-    return MonotonicityReport(points=tuple(points),
-                              all_passed=all(p.passed for p in points))
+    points = np.array(rows, dtype=_POINT_DTYPE)
+    return MonotonicityReport(points, bool(points["passed"].all()))
 
 
 # ---------------------------------------------------------------------------

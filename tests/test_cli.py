@@ -3,6 +3,7 @@ formats, and consistency between subcommands."""
 
 import dataclasses
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -409,6 +410,19 @@ def test_simulate_outputs_and_report(tmp_path):
     assert total == 400 * 100
 
 
+def test_simulate_window_below_five_firms_has_nan_slope(tmp_path):
+    # [6.0, 6.0001] holds fewer than the five firms the window slope needs
+    scenario = _scenario(tmp_path, fit_window_hi=6.0001)
+    parsed = simulate.parse_scenario(scenario)
+    report = simulate.verify_tail_relation(
+        parsed.config, simulate.run_sim(parsed.config), parsed.window)
+    assert math.isnan(report.window_slope)
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", scenario,
+                 "--out-dir", str(out_dir)]) == (0 if report.passed else 4)
+    assert json.loads((out_dir / "report.json").read_text())["window_slope"] is None
+
+
 def test_simulate_degenerate_window_exit_four(tmp_path, capsys):
     scenario = _scenario(tmp_path, gamma=0.0, beta_min=0.01, beta_max=0.01,
                          fit_window_lo=6.0, fit_window_hi=900.0)
@@ -520,7 +534,7 @@ def test_thermo_exponential(tmp_path):
     assert payload["monotonicity"]["all_passed"] is True
     assert len(payload["monotonicity"]["points"]) == 25
     for point in payload["monotonicity"]["points"]:
-        assert set(point) == _field_names(thermo.MonotonicityPoint)
+        assert set(point) == set(thermo._POINT_DTYPE.names)
     assert payload["limits"]["low_ok"] and payload["limits"]["high_ok"]
     assert payload["expansion"]["checked"] is True
 

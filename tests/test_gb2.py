@@ -438,3 +438,81 @@ def test_worker_weighted_hessian_stderr_is_unit_free():
     r2 = gb2.fit_mle(c, 8.0 * w)
     assert r2.params.mu == pytest.approx(r1.params.mu, rel=1e-9)
     assert r2.mu_stderr == pytest.approx(r1.mu_stderr, rel=1e-6)
+
+
+def _trial_points_fail(monkeypatch, how):
+    """Evaluate the start point as it is and make every later (trial)
+    point fail as `how` says; returns the list of evaluated points."""
+    nll = gb2._nll_derivatives
+    softplus_wsum = kernels.softplus_wsum
+    seen = []
+
+    def patched(theta, *args):
+        seen.append(theta)
+        if len(seen) == 1 or how == "derivatives":
+            return nll(theta, *args)
+        lc, w, _, wlc_total = args
+        if how == "objective":          # a NaN weight total leaves f NaN
+            return nll(theta, lc, w, math.nan, wlc_total)
+        f, g, h = nll(seen[0], *args)
+        return f + 1.0, g, h            # how == "no decrease"
+
+    def inf_hessian_sum(*args):
+        sums = softplus_wsum(*args)
+        if len(seen) > 1:
+            sums[5] = math.inf
+        return sums
+
+    monkeypatch.setattr(gb2, "_nll_derivatives", patched)
+    if how == "derivatives":
+        monkeypatch.setattr(kernels, "softplus_wsum", inf_hessian_sum)
+    return seen
+
+
+@pytest.mark.parametrize("how", ["objective", "derivatives", "no decrease"])
+def test_failing_line_search_ends_unconverged(monkeypatch, how):
+    # every trial point of the first step is non-finite or no lower, so
+    # the line search uses up its halvings and the path ends at its start
+    seen = _trial_points_fail(monkeypatch, how)
+    res = gb2.fit_mle(_panel_sample())
+    assert res.params == gb2.Gb2Params(*(math.exp(t) for t in seen[0]))
+    assert not res.converged
+    assert res.mu_stderr == math.inf
+    assert res.n_iterations == 1
+    assert res.n_evaluations == len(seen) == 1 + gb2._MAX_BACKTRACK
+
+
+def test_hessian_beyond_the_damping_ladder_ends_unconverged(monkeypatch):
+    # a zero diagonal keeps the shift tiny and the off-diagonal ones
+    # leave eigenvalues -1 + lam on every rung of the ladder
+    nll = gb2._nll_derivatives
+    seen = []
+
+    def indefinite(theta, *args):
+        seen.append(theta)
+        f, g, _ = nll(theta, *args)
+        return f, g, np.ones((4, 4)) - np.eye(4)
+
+    monkeypatch.setattr(gb2, "_nll_derivatives", indefinite)
+    assert gb2._damped_newton_step(np.ones(4), np.ones((4, 4)) - np.eye(4)) is None
+    res = gb2.fit_mle(_panel_sample())
+    assert res.params == gb2.Gb2Params(*(math.exp(t) for t in seen[0]))
+    assert not res.converged
+    assert res.mu_stderr == math.inf
+    assert res.n_iterations == 0
+    assert res.n_evaluations == len(seen) == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: log_beta(0.0, 1.0), "log_beta requires finite s, t > 0"),
+    (lambda: gb2.pdf(PANEL_LAW, -1.0), "pdf requires finite c >= 0"),
+    (lambda: gb2.ccdf(PANEL_LAW, -1.0), "ccdf requires finite c >= 0"),
+    (lambda: gb2.sample(PANEL_LAW, 0, 1), "sample requires n >= 1"),
+], ids=["log_beta", "pdf", "ccdf", "sample"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_ccdf_at_zero_is_one():
+    assert gb2.ccdf(PANEL_LAW, 0.0) == 1.0

@@ -156,3 +156,15 @@ def test_regime_values():
     assert superstat.Regime.SUPERSTATISTICAL.value == "Superstatistical"
     assert superstat.Regime.NEGATIVE_TEMPERATURE.value == "NegativeTemperature"
     assert superstat.Regime.FIXED_POINT_DEGENERATE.value == "FixedPointDegenerate"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ParetoIndices(mu_f=0.0, mu_w=2.0), "tail indices must be > 0"),
+    (lambda: ParetoIndices(mu_f=2.0, mu_w=3.0, mu_w_stderr=-0.1),
+     "stderrs must be >= 0"),
+    (lambda: delta_from_gamma(0.5, 1.0), "mu_f must be > 1"),
+    (lambda: mu_w_predicted(1.0, 0.5), "mu_f must be > 1"),
+], ids=["mu", "stderr", "delta_from_gamma", "mu_w_predicted"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -347,7 +347,7 @@ def test_monotonicity_exponential():
     report = thermo.check_monotonicity(m, np.geomspace(1e-4, 1e2, 50))
     assert report.all_passed
     assert len(report.points) == 50
-    assert all(p.passed for p in report.points)
+    assert all(p["passed"] for p in report.points)
     with pytest.raises(ValueError, match="finite"):
         thermo.check_monotonicity(m, [1e-3, np.inf])
 
@@ -373,8 +373,8 @@ def test_monotonicity_nan_route_fails_its_point(monkeypatch):
 
     monkeypatch.setattr(thermo, "_laplace", nan_neighbours)
     report = thermo.check_monotonicity(m, [0.5, 1.0])
-    assert all(math.isnan(p.dd_dt_fd) for p in report.points)
-    assert [p.passed for p in report.points] == [False, False]
+    assert all(math.isnan(p["dd_dt_fd"]) for p in report.points)
+    assert [p["passed"] for p in report.points] == [False, False]
     assert not report.all_passed
 
 
@@ -405,8 +405,8 @@ def test_monotonicity_exponential_variance_closed_form():
     m = ThermoModel.exponential(1.0)
     report = thermo.check_monotonicity(m, np.geomspace(1e-8, 1e3, 40))
     for p in report.points:
-        assert p.dd_dt_var == pytest.approx((p.beta / (1.0 + p.beta)) ** 2,
-                                            rel=1e-9)
+        assert p["dd_dt_var"] == pytest.approx(
+            (p["beta"] / (1.0 + p["beta"])) ** 2, rel=1e-9)
 
 
 def test_monotonicity_gb2():
@@ -497,3 +497,25 @@ def test_negative_beta_rejected():
     m = ThermoModel.exponential(1.0)
     with pytest.raises(ValueError):
         thermo.partition(m, -0.1)
+
+
+_EXP = ThermoModel.exponential(1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ThermoModel.exponential(0.0), "exponential mean must be finite and > 0"),
+    (lambda: ThermoModel.tabulated_tail(1.0, 1.0), "tail index must be finite and > 1"),
+    (lambda: thermo.moment(_EXP, -1, 1.0), "moment order must be >= 0"),
+    (lambda: thermo.moment(_EXP, 1, -1.0), "moment requires finite beta >= 0"),
+    (lambda: thermo.demand_expansion(_EXP, -1e-3), "expansion requires finite beta >= 0"),
+    (lambda: thermo.partition_expansion(_EXP, -1e-3), "expansion requires finite beta >= 0"),
+    (lambda: thermo.check_monotonicity(_EXP, [[0.1, 1.0]]),
+     "beta_grid must be a nonempty 1-d sequence"),
+    # the trapezoid sums of a step differ by about the step at every level
+    (lambda: thermo.quad(lambda x: (np.abs(x) < 1.0 / 3.0)[None] * 1.0, -1.0, 1.0),
+     "quad did not converge within 2097152 nodes"),
+], ids=["exponential", "tabulated_tail", "moment_order", "moment_beta",
+        "demand_expansion", "partition_expansion", "grid_2d", "quad_nodes"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
