@@ -280,8 +280,8 @@ def _cmd_simulate(args) -> int:
     diag = {"manifest": manifest,
             "total_workers": int(out.worker_counts.sum()),
             "n_epochs": cfg.n_epochs,
-            "epochs": [{"beta": float(b), "demand": float(d)}
-                       for b, d in zip(out.realized_betas, out.epoch_demand)]}
+            "epochs": np.rec.fromarrays([out.realized_betas, out.epoch_demand],
+                                        names="beta,demand")}
     _write_json(os.path.join(args.out_dir, "diagnostics.json"), diag)
 
     if not scenario.verify:

@@ -13,12 +13,17 @@ with the MLE pipeline and compares.
 
 Determinism: a master seed feeds a seed tree (firm draw, beta draws,
 allocation draws), so identical configs give bit-identical outputs.
-Epochs consume the allocation stream in order.
+Epoch j reads uniforms j*N .. (j+1)*N - 1 of the allocation stream, so
+the epochs run in chunks of _CHUNK_EPOCHS on a thread pool with one
+worker per CPU the process may use, each chunk's generator advanced to
+its first epoch's place in the stream; the chunks' counts are summed
+exactly, and no output depends on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +38,7 @@ _MIN_TAIL_FIT_FIRMS = 1000
 _WINDOW_LO_MIN = 10.0      # require beta_max * c_lo above this
 _WINDOW_HI_MAX = 0.1       # require beta_min * c_hi below this
 _TOLERANCE = 0.15          # allowed |measured - predicted| of mu_w
+_CHUNK_EPOCHS = 250        # epochs per pool task; 100-2000 ran alike
 
 
 @dataclass(frozen=True)
@@ -67,32 +73,56 @@ def sample_betas(w: BetaWeight, n: int, rng: np.random.Generator) -> np.ndarray:
     return (w.beta_min ** e + u * (w.beta_max ** e - w.beta_min ** e)) ** (1.0 / e)
 
 
+def _n_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sim(cfg: SimConfig) -> SimOutput:
+    # imported here, not at module level: concurrent.futures loads logging,
+    # which would add to the import time of every CLI command
+    from concurrent.futures import ThreadPoolExecutor
+
     ss_firms, ss_betas, ss_alloc = np.random.SeedSequence(cfg.seed).spawn(3)
     c = gb2.sample(cfg.firm_params, cfg.n_firms, ss_firms)
     betas = sample_betas(cfg.beta_weight, cfg.n_epochs,
                          np.random.default_rng(ss_betas))
-    rng = np.random.default_rng(ss_alloc)
 
     n = cfg.n_workers_per_epoch
     dc = c - c.min()
-    cdf = np.empty(cfg.n_firms)
-    counts = np.zeros(cfg.n_firms, dtype=np.int64)
     epoch_demand = np.empty(cfg.n_epochs)
-    for j in range(cfg.n_epochs):
-        # each worker's firm by inverse cdf; sorted uniforms in (0, total]
-        # keep the search local, and a firm whose weight underflows to 0
-        # adds no cdf step, so it is never drawn
-        np.multiply(dc, -betas[j], out=cdf)
-        np.exp(cdf, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        u = 1.0 - rng.random(n)
-        u.sort()
-        u *= cdf[-1]
-        n_k = np.bincount(np.searchsorted(cdf, u, side="left"),
-                          minlength=cfg.n_firms)
-        counts += n_k
-        epoch_demand[j] = (n_k @ c) / n
+
+    def run_chunk(lo: int) -> np.ndarray:
+        # one double per 64-bit output: epoch j reads uniforms j*n .. (j+1)*n - 1
+        rng = np.random.Generator(np.random.PCG64(ss_alloc).advance(lo * n))
+        cdf = np.empty(cfg.n_firms)
+        counts = np.zeros(cfg.n_firms, dtype=np.int64)
+        for j in range(lo, min(lo + _CHUNK_EPOCHS, cfg.n_epochs)):
+            # each worker's firm by inverse cdf; sorted uniforms in (0, total]
+            # keep the search local, and a firm whose weight underflows to 0
+            # adds no cdf step, so it is never drawn
+            np.multiply(dc, -betas[j], out=cdf)
+            np.exp(cdf, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            u = 1.0 - rng.random(n)
+            u.sort()
+            u *= cdf[-1]
+            firm = np.searchsorted(cdf, u, side="left")
+            counts += np.bincount(firm, minlength=cfg.n_firms)
+            # the workers' own c summed, not n_k @ c: BLAS may split a long
+            # dot product over threads of its own (OpenBLAS past 10 000
+            # firms), which then spin on the pool's cores, and the sum's
+            # order would depend on their number
+            epoch_demand[j] = c[firm].sum() / n
+        return counts
+
+    starts = range(0, cfg.n_epochs, _CHUNK_EPOCHS)
+    counts = np.zeros(cfg.n_firms, dtype=np.int64)
+    with ThreadPoolExecutor(min(_n_cpus(), len(starts))) as pool:
+        for chunk_counts in pool.map(run_chunk, starts):
+            counts += chunk_counts
 
     return SimOutput(c, counts, betas, epoch_demand)
 

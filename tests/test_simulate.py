@@ -1,6 +1,8 @@
 """Monte Carlo allocation engine, scaling-window guardrails, and the
 flat key = value scenario format."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,68 @@ def test_run_deterministic():
     assert np.array_equal(a.firm_productivities, b.firm_productivities)
     assert np.array_equal(a.worker_counts, b.worker_counts)
     assert np.array_equal(a.realized_betas, b.realized_betas)
+    assert np.array_equal(a.epoch_demand, b.epoch_demand)
+
+
+def _serial_run(cfg):
+    """run_sim's epochs as one loop over the allocation stream in order;
+    each epoch's demand also as the dot product n_k @ c."""
+    ss_firms, ss_betas, ss_alloc = np.random.SeedSequence(cfg.seed).spawn(3)
+    c = gb2.sample(cfg.firm_params, cfg.n_firms, ss_firms)
+    betas = simulate.sample_betas(cfg.beta_weight, cfg.n_epochs,
+                                  np.random.default_rng(ss_betas))
+    rng = np.random.default_rng(ss_alloc)
+    n = cfg.n_workers_per_epoch
+    dc = c - c.min()
+    cdf = np.empty(cfg.n_firms)
+    counts = np.zeros(cfg.n_firms, dtype=np.int64)
+    demand = np.empty(cfg.n_epochs)
+    dot_demand = np.empty(cfg.n_epochs)
+    for j in range(cfg.n_epochs):
+        np.multiply(dc, -betas[j], out=cdf)
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        u = 1.0 - rng.random(n)
+        u.sort()
+        u *= cdf[-1]
+        firm = np.searchsorted(cdf, u, side="left")
+        n_k = np.bincount(firm, minlength=cfg.n_firms)
+        counts += n_k
+        demand[j] = c[firm].sum() / n
+        dot_demand[j] = (n_k @ c) / n
+    return counts, betas, demand, dot_demand
+
+
+_CHUNK = simulate._CHUNK_EPOCHS
+
+
+# the epoch count at and around the chunk size, and N above K = 20
+@pytest.mark.parametrize("n_firms, n_workers, n_epochs", [
+    (300, 40, 1), (300, 40, _CHUNK - 1), (300, 40, _CHUNK),
+    (300, 40, _CHUNK + 1), (300, 40, 3 * _CHUNK + 7), (20, 60, _CHUNK + 1)])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_chunked_run_matches_serial_loop(monkeypatch, cpus, n_firms,
+                                         n_workers, n_epochs):
+    # each chunk advances its own generator to its first epoch's place in
+    # the stream, so the pool's outputs are the serial loop's, bit for bit,
+    # whatever the worker count; a short switch interval interleaves the
+    # workers' Python steps more often
+    monkeypatch.setattr(simulate, "_n_cpus", lambda: cpus)
+    cfg = _config(n_firms=n_firms, n_workers_per_epoch=n_workers,
+                  n_epochs=n_epochs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = simulate.run_sim(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    counts, betas, demand, dot_demand = _serial_run(cfg)
+    assert np.array_equal(out.worker_counts, counts)
+    assert np.array_equal(out.realized_betas, betas)
+    assert np.array_equal(out.epoch_demand, demand)
+    # two orders of one sum of N positive terms, each within (N - 1) eps
+    np.testing.assert_allclose(demand, dot_demand,
+                               rtol=2 * n_workers * np.finfo(float).eps)
 
 
 def test_seed_changes_output():
