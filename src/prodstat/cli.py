@@ -18,8 +18,10 @@ result dataclasses as they are: the ``fit`` object carries every field
 of gb2.FitResult and ``report.json`` every field of
 simulate.TailRelationReport, each under its own name, and the
 monotonicity points, one structured array, are one object per row
-keyed by its field names.  TSV outputs are written from whole columns,
-one per header name.  Timestamps honor
+keyed by its field names and built field by field.  TSV outputs are
+written from whole columns, one per header name, each column turned
+into its cells at once: a float array's by float.__repr__, nan where
+not finite, any other's by _fmt_cell.  Timestamps honor
 SOURCE_DATE_EPOCH so runs can be made byte-reproducible; PRODSTAT_SEED
 supplies a default seed to scenarios that omit one.
 
@@ -82,24 +84,26 @@ def _panel_manifest(command: str, args, **slice_filters) -> dict:
 
 def _json_safe(obj):
     """Recursively convert to JSON-clean values (dataclass -> dict of its
-    fields, structured array -> one dict per row, NaN -> null, numpy ->
-    python)."""
+    fields, structured array -> one dict per row built field by field,
+    NaN -> null, numpy -> python)."""
     if dataclasses.is_dataclass(obj):
         obj = vars(obj)
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):
         names = obj.dtype.names
-        return [_json_safe(dict(zip(names, v)) if names else v)
-                for v in obj.tolist()]
+        if names:
+            return [dict(zip(names, row))
+                    for row in zip(*(_json_safe(obj[name]) for name in names))]
+        if obj.dtype.kind == "f":
+            return np.where(np.isfinite(obj), obj, None).tolist()
+        return [_json_safe(v) for v in obj.tolist()]
     return obj
 
 
@@ -115,11 +119,12 @@ def _write_json(path: str | None, payload: dict) -> None:
 def _write_tsv(path: str, manifest: dict, columns: dict) -> None:
     """A TSV of columns, a mapping from header name to a whole column
     (array or list), under a manifest comment line."""
-    lines = ["# manifest: " + json.dumps(_json_safe(manifest), sort_keys=True)]
-    lines.append("\t".join(columns))
-    for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                     for c in columns.values()), strict=True):
-        lines.append("\t".join(_fmt_cell(v) for v in row))
+    cells = (map(float.__repr__, np.where(np.isfinite(c), c, np.nan).tolist())
+             if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+             else map(_fmt_cell, c.tolist() if isinstance(c, np.ndarray) else c)
+             for c in columns.values())
+    lines = ["# manifest: " + json.dumps(_json_safe(manifest), sort_keys=True),
+             "\t".join(columns), *map("\t".join, zip(*cells, strict=True))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

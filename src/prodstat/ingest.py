@@ -29,10 +29,11 @@ without a comma as long as the smaller of that limit and
 sys.get_int_max_str_digits() - 18, which any numeric field past the
 limit and any integer token that int() refuses and an int64 holds
 contain, and every file with a parsed firm_id or sector_class past the
-limit.  Both reads end in the same column step, which applies the
-load-stage rules to whole columns and assembles the records, so the
-records do not tell which read took the file; on a clean panel the
-loop never runs.
+limit.  The pass strips each firm_id once, and checks and maps the
+sector classes on their few distinct raw values.  Both reads end in the
+same column step, which codes the load-stage rules over whole columns
+and builds each record column once, so the records do not tell which
+read took the file; on a clean panel the loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
@@ -52,6 +53,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,8 @@ R_MIN_WORKERS = "below minimum workers"
 R_CAP = "above productivity cap"
 R_DUPLICATE = "duplicate firm-year"
 
-# build-stage reasons in precedence order; code 0 marks a sample
+# load- and build-stage reasons by precedence; code 0 marks a kept row
+_LOAD_REASONS = np.array(["", R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE])
 _BUILD_REASONS = np.array(["", R_DUPLICATE, R_NO_PRIOR, R_NONPOSITIVE,
                            R_MIN_WORKERS, R_CAP])
 
@@ -181,7 +184,9 @@ def load_csv(path) -> LoadResult:
             f"{len(errors)} malformed rows out of {n_rows} "
             f"(threshold {_BAD_ROW_FRACTION:.0%}); first: "
             f"line {errors[0].line_no}: {errors[0].message}")
-    return _load_result(np.array(rows, dtype=_ROWS_DTYPE), tuple(errors))
+    cols = np.array(rows, dtype=_ROWS_DTYPE)
+    return _load_result(cols, cols["firm_id"].tolist(), cols["sector_class"],
+                        tuple(errors))
 
 
 def _numbered_rows(fh):
@@ -229,35 +234,39 @@ def _load_columns(fh) -> LoadResult | None:
     # loadtxt rejects 1_000, non-ASCII digits and integers past int64,
     # which int() and float() accept; it strips numbers, not strings,
     # and reads strings past csv's field size limit, which csv.reader rejects
-    raw_ids, raw_classes = cols["firm_id"].tolist(), cols["sector_class"].tolist()
-    cols["firm_id"] = firm_id = [x.strip() for x in raw_ids]
-    cols["sector_class"] = sector_class = [x.strip() for x in raw_classes]
+    raw_ids = cols["firm_id"].tolist()
+    firm_id = list(map(str.strip, raw_ids))
+    classes = set(cols["sector_class"].tolist())    # a few distinct raw values
     year, workers = cols["year"], cols["workers_eoy"]
-    longest = max(map(len, [*raw_ids, *set(raw_classes)]))
-    if ("" in firm_id or longest > csv.field_size_limit()
-            or not set(sector_class) <= set(CLASS_CODES)
+    if ("" in firm_id or max(map(len, [*raw_ids, *classes])) > csv.field_size_limit()
+            or not {x.strip() for x in classes} <= set(CLASS_CODES)
             or not np.isfinite(cols["value_added"]).all()
             or ((year >= _INT_LIMIT) | (year <= -_INT_LIMIT)
                 | (workers >= _INT_LIMIT)).any()):
         return None
-    return _load_result(cols)
+    is_m = np.isin(cols["sector_class"], [x for x in classes if x.strip() == "M"])
+    return _load_result(cols, firm_id, np.where(is_m, "M", "N"))
 
 
-def _load_result(cols: np.ndarray, errors: tuple[RowError, ...] = ()) -> LoadResult:
-    """Both reads end here: the parsed rows' six SCHEMA_V1 columns, typed
-    by np.loadtxt or holding _parse_row's values, become the load-stage
-    exclusions and the records of the rows kept."""
+def _load_result(cols: np.ndarray, firm_id: list[str], sector_class: np.ndarray,
+                 errors: tuple[RowError, ...] = ()) -> LoadResult:
+    """Both reads end here: the parsed rows' columns, typed by np.loadtxt
+    or holding _parse_row's values, with the stripped ids and classes,
+    become the load-stage exclusions and the records of the rows kept."""
     year, code, workers = cols["year"], cols["sector_code"], cols["workers_eoy"]
     reason = np.select([workers == 0, workers < 0, (code < 1) | (code > _N_SECTORS)],
-                       [R_ZERO_WORKERS, R_NEGATIVE_WORKERS, R_SECTOR_RANGE], "")
-    out = reason != ""
-    exclusions = tuple(map(Exclusion, cols["firm_id"][out].tolist(),
-                           year[out].tolist(), reason[out].tolist()))
-    kept = cols[~out]
-    id_width = max(map(len, kept["firm_id"].tolist()), default=1)
-    kinds = (f"U{id_width}", np.int64, np.int64, "U1", np.float64, np.int64)
-    records = _table(**{name: kept[name].astype(kind)
-                        for name, kind in zip(SCHEMA_V1, kinds)})
+                       np.arange(1, len(_LOAD_REASONS)), 0)
+    out = np.flatnonzero(reason)
+    exclusions = tuple(map(Exclusion, [firm_id[i] for i in out.tolist()],
+                           year[out].tolist(), _LOAD_REASONS[reason[out]].tolist()))
+    keep = reason == 0
+    # an excluded row's longer id is cut to this width, then dropped
+    width = max(map(len, compress(firm_id, keep.tolist())), default=1)
+    kinds = (f"U{width}", np.int64, np.int64, "U1", np.float64, np.int64)
+    records = np.empty(len(keep) - len(out), dtype=list(zip(SCHEMA_V1, kinds)))
+    for name, col in zip(SCHEMA_V1, (np.array(firm_id, kinds[0]), year, code,
+                                     sector_class, cols["value_added"], workers)):
+        records[name] = col[keep]
     return LoadResult(records=records, errors=errors, exclusions=exclusions)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from panelgen import write_panel
-from prodstat import gb2, ingest, simulate, thermo
+from prodstat import cli, gb2, ingest, simulate, thermo
 from prodstat.cli import main
 from prodstat.superstat import ParetoIndices, kappa_from_mus
 
@@ -868,3 +868,46 @@ def test_byte_identical_reruns(super_panel, tmp_path):
         main(["simulate", "--scenario", s, "--out-dir", str(d)])
     for name in ("firms.tsv", "diagnostics.json", "report.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_tsv_cells_match_the_per_cell_rule(tmp_path):
+    # each column is turned into cells at once; the cells must be the
+    # ones _fmt_cell gives each value on its own
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e22, 0.1])
+    columns = {"f": floats, "i": np.arange(-3, 5, dtype=np.int64),
+               "r": range(8), "mixed": [None, "a b", -7, 2.5, math.inf,
+                                        math.nan, 10 ** 20, "nan"]}
+    path = tmp_path / "t.tsv"
+    cli._write_tsv(str(path), {"command": "test"}, columns)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "f\ti\tr\tmixed"
+    expected = [[cli._fmt_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray)
+                                             else c)] for c in columns.values()]
+    assert [line.split("\t") for line in lines[2:]] == [list(r) for r in zip(*expected)]
+    assert lines[2:4] == ["nan\t-3\t0\tnan", "nan\t-2\t1\ta b"]
+    assert [line.split("\t")[0] for line in lines[5:]] == [
+        "-0.0", "5e-324", "1e+16", "1e+22", "0.1"]
+
+
+def test_json_safe_structured_array_matches_row_dicts():
+    points = np.zeros(4, dtype=[("x", np.float64), ("n", np.int64), ("ok", bool)])
+    points["x"] = [1.5, np.nan, np.inf, -np.inf]
+    points["n"] = [1, -2, 3, 2 ** 40]
+    points["ok"] = [True, False, True, False]
+    rows = [{name: (None if isinstance(v, float) and not math.isfinite(v) else v)
+             for name, v in zip(points.dtype.names, row)} for row in points.tolist()]
+    got = cli._json_safe(points)
+    assert got == rows
+    assert got[1]["x"] is None and got[3]["n"] == 2 ** 40
+    assert [type(r["ok"]) for r in got] == [bool] * 4
+    assert json.loads(json.dumps(got)) == rows
+
+
+def test_json_safe_converts_every_numpy_scalar():
+    payload = {"b": np.bool_(True), "s": np.str_("M"), "i": np.int32(-4),
+               "f": np.float32(0.5), "nan": np.float64("nan"), "u": np.uint8(7)}
+    got = cli._json_safe(payload)
+    assert got == {"b": True, "s": "M", "i": -4, "f": 0.5, "nan": None, "u": 7}
+    assert [type(got[k]) for k in ("b", "s", "i", "f", "u")] == [
+        bool, str, int, float, int]
+    assert json.loads(json.dumps(got)) == got

@@ -549,6 +549,9 @@ _BULK_EDITS = [
     lambda r: r[:4] + [f'"{r[4]}"', f" {r[5]} "],
     lambda r: r[:2] + ["0"] + r[3:],
     lambda r: r[:2] + ["27"] + r[3:],
+    # whitespace that str.strip removes and an ASCII-only strip keeps
+    lambda r: [f"\u00a0{r[0]}\u3000"] + r[1:3] + [f"\x1c{r[3]}\u00a0"] + r[4:],
+    lambda r: [f"\x1c{r[0]}"] + r[1:3] + [f"\u3000{r[3]}"] + r[4:],
 ]
 # row edits that int() or float() accept and np.loadtxt rejects
 _LOOP_EDITS = [
@@ -608,6 +611,27 @@ def test_load_matches_reference_loop(tmp_path, seed):
     assert list(got.exclusions) == exclusions
     assert all(type(e.year) is int for e in got.exclusions)
     assert len(exclusions) > 0 and (len(errors) > 0) == (seed >= 3)
+
+
+def test_excluded_longest_id_sets_no_width(tmp_path):
+    # the longest id, padded with whitespace str.strip removes, is on an
+    # excluded row: the records' id width is the longest kept id's, and
+    # the ledger keeps the whole stripped id, under either read
+    long_id = "L" * 40
+    rows = [f"\u3000{long_id}\u00a0,2000,3,M,10.0,0\n"] + [
+        f" F{i}\x1c,2000,3,\u00a0N,10.0,5\n" for i in range(150)]
+    for bad in ("", "BAD,x,y,z,q,w\n"):
+        path = _write(tmp_path, "".join(rows) + bad)
+        assert _takes_bulk_parse(path) == (not bad)
+        got = load_csv(path)
+        records, errors, exclusions = _reference_load(path)
+        assert got.records.dtype == records.dtype
+        assert got.records.dtype["firm_id"] == np.dtype("<U4")
+        assert got.records.tobytes() == records.tobytes()
+        assert set(got.records["sector_class"].tolist()) == {"N"}
+        assert list(got.errors) == errors and len(errors) == bool(bad)
+        assert list(got.exclusions) == exclusions == [
+            ingest.Exclusion(long_id, 2000, ingest.R_ZERO_WORKERS)]
 
 
 def test_bulk_and_loop_give_identical_records(tmp_path):
