@@ -23,17 +23,18 @@ into whole columns.  A file that the pass cannot read, or that has a
 malformed row, is read again row by row by csv.reader and _parse_row,
 which alone define a malformed row, its line number (the physical line
 the row starts on) and its message.  A field past csv's size limit
-(131072 characters) stops that read with a SchemaError naming its
-line.  The pass sends to the loop every file whose text has a run
-without a comma as long as the smaller of that limit and
-sys.get_int_max_str_digits() - 18, which any numeric field past the
-limit and any integer token that int() refuses and an int64 holds
-contain, and every file with a parsed firm_id or sector_class past the
-limit.  The pass strips each firm_id once, and checks and maps the
-sector classes on their few distinct raw values.  Both reads end in the
-same column step, which codes the load-stage rules over whole columns
-and builds each record column once, so the records do not tell which
-read took the file; on a clean panel the loop never runs.
+(131072 characters) or a NUL stops that read with a SchemaError
+naming its line.  The pass sends to the loop every file whose text
+holds a NUL or has a run without a comma as long as the smaller of
+that limit and sys.get_int_max_str_digits() - 18, which any numeric
+field past the limit and any integer token that int() refuses and an
+int64 holds contain, and every file with a parsed firm_id or
+sector_class past the limit.  The pass strips each firm_id once, and
+checks and maps the sector classes on their few distinct raw values.
+Both reads end in the same column step, which codes the load-stage
+rules over whole columns and builds each record column once, so the
+records do not tell which read took the file; on a clean panel the
+loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
@@ -192,7 +193,8 @@ def load_csv(path) -> LoadResult:
 def _numbered_rows(fh):
     """csv.reader's rows of fh, each with the physical line it starts
     on; a quoted field may span lines.  csv's errors, such as a field
-    past its size limit, become a SchemaError naming the line."""
+    past its size limit, become a SchemaError naming the line, and so
+    does a NUL, which csv.reader refuses only before Python 3.11."""
     reader = csv.reader(fh)
     while True:
         line_no = reader.line_num + 1
@@ -202,13 +204,18 @@ def _numbered_rows(fh):
             return
         except csv.Error as exc:
             raise SchemaError(f"line {line_no}: {exc}") from None
+        if any("\x00" in field for field in row):
+            raise SchemaError(f"line {line_no}: line contains NUL")
         yield line_no, row
 
 
 def _load_columns(fh) -> LoadResult | None:
     """The rest of fh parsed in one np.loadtxt pass, or None if the
-    parse fails or warns, or _parse_row would reject a row."""
+    parse fails or warns, _parse_row would reject a row, or the text
+    holds a NUL, which _numbered_rows rejects."""
     text = fh.read()
+    if "\x00" in text:     # numpy's U columns drop a trailing NUL
+        return None
     # a field past csv's limit, or an integer token that int() refuses
     # and an int64 holds (19 significant digits at most, so the digit
     # limit less 18 leading zeros), is a run of text without a comma;
@@ -309,11 +316,11 @@ def build_samples(records: np.ndarray,
     productivities are reported for inspection instead of being cut.
     """
     n = len(records)
-    firm = np.unique(records["firm_id"], return_inverse=True)[1]
-    year = records["year"]
-    # sorted by (firm, year), equal keys in input order: a duplicate
-    # follows its key's first record, and a prior year precedes its year
-    order = np.lexsort((year, firm))
+    ids, year = records["firm_id"], records["year"]
+    # stable by (firm, year), near linear on a panel ordered by year or by firm
+    order = np.lexsort((year, ids))
+    firm = np.zeros(n, dtype=np.intp)
+    firm[order[1:]] = np.cumsum(ids[order[1:]] != ids[order[:-1]])
     f, y = firm[order], year[order]
     dup = np.zeros(n, dtype=bool)
     dup[order[1:][(f[1:] == f[:-1]) & (y[1:] == y[:-1])]] = True
@@ -334,9 +341,9 @@ def build_samples(records: np.ndarray,
 
     keep = code == 0
     out = ~keep
-    exclusions = _table(firm_id=records["firm_id"][out], year=year[out],
+    exclusions = _table(firm_id=ids[out], year=year[out],
                         reason=_BUILD_REASONS[code[out]])
-    samples = _table(firm_id=records["firm_id"][keep], year=year[keep],
+    samples = _table(firm_id=ids[keep], year=year[keep],
                      sector_code=records["sector_code"][keep],
                      sector_class=records["sector_class"][keep],
                      c=c[keep], weight_workers=l_bar[keep])

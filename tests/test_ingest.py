@@ -241,6 +241,24 @@ def test_header_past_csv_limit_names_its_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row", [
+    "F0\x00,2001,3,M,10.0,5",      # a U column would read F0
+    "F0\x00B,2001,3,M,10.0,5",
+    "F0,2001,3,M\x00,10.0,5",
+    "F0,2001,3,M,10.0,5\x00",
+    '"F0\n\x00",2001,3,M,10.0,5',   # named by the line the row starts on
+], ids=["id end", "id inside", "class", "line end", "second line"])
+@pytest.mark.parametrize("bad", ["", "BAD,x,y,z,q,w\n"], ids=["clean", "bad row"])
+def test_nul_names_its_line(tmp_path, row, bad):
+    # csv.reader refuses a NUL before Python 3.11 and accepts it after,
+    # and np.loadtxt reads it: every read must refuse it as csv did
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    path = _write(tmp_path, bad + good + row + "\n")
+    with pytest.raises(SchemaError,
+                       match=rf"^line {201 + bool(bad)}: line contains NUL$"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("row,message", [
     ("X,2000,3,M,10.0", "expected 6 fields, got 5"),
     ("X,2000,3,M,10.0,5,7", "expected 6 fields, got 7"),
@@ -480,22 +498,26 @@ def test_mixed_panel_ledger(tmp_path):
 
 def test_build_matches_reference_loop(tmp_path):
     rng = np.random.default_rng(5)
-    rows = []
-    for _ in range(3000):
-        rows.append(f"F{rng.integers(300)},{rng.integers(1995, 2002)},"
-                    f"{rng.integers(1, 27)},{'MN'[rng.integers(2)]},"
-                    f"{rng.normal(50.0, 40.0)!r},{rng.integers(1, 20)}\n")
-    load = load_csv(_write(tmp_path, "".join(rows)))
-    for filters in (FilterConfig(), FilterConfig(min_workers=4.0,
-                                                 max_productivity=8.0)):
-        build = build_samples(load.records, filters)
-        ref_samples, ref_reasons = _reference_build(load.records, filters)
-        assert build.exclusions["reason"].tolist() == ref_reasons
-        assert dict(Counter(build.exclusions["reason"].tolist())) == dict(
-            Counter(ref_reasons))
-        got = [(s[0], s[1], s[4], s[5]) for s in build.samples.tolist()]
-        assert got == ref_samples
-        assert len(load.records) == len(build.samples) + len(build.exclusions)
+    rows = [(f"F{rng.integers(300)}", int(rng.integers(1995, 2002)),
+             f"{rng.integers(1, 27)},{'MN'[rng.integers(2)]},"
+             f"{rng.normal(50.0, 40.0)!r},{rng.integers(1, 20)}")
+            for _ in range(3000)]
+    # shuffled, then ordered by year or by firm as panels come, where the
+    # stable sort merges presorted runs; duplicates keep their input order
+    for layout in (rows, sorted(rows, key=lambda r: (r[1], r[0])),
+                   sorted(rows, key=lambda r: r[:2])):
+        load = load_csv(_write(tmp_path, "".join(
+            f"{firm},{year},{rest}\n" for firm, year, rest in layout)))
+        for filters in (FilterConfig(), FilterConfig(min_workers=4.0,
+                                                     max_productivity=8.0)):
+            build = build_samples(load.records, filters)
+            ref_samples, ref_reasons = _reference_build(load.records, filters)
+            assert build.exclusions["reason"].tolist() == ref_reasons
+            assert dict(Counter(build.exclusions["reason"].tolist())) == dict(
+                Counter(ref_reasons))
+            got = [(s[0], s[1], s[4], s[5]) for s in build.samples.tolist()]
+            assert got == ref_samples
+            assert len(load.records) == len(build.samples) + len(build.exclusions)
 
 
 def _reference_load(path):
