@@ -247,15 +247,20 @@ def test_header_past_csv_limit_names_its_line(tmp_path):
     "F0,2001,3,M\x00,10.0,5",
     "F0,2001,3,M,10.0,5\x00",
     '"F0\n\x00",2001,3,M,10.0,5',   # named by the line the row starts on
-], ids=["id end", "id inside", "class", "line end", "second line"])
+    None,                          # in the header, after firm_id
+], ids=["id end", "id inside", "class", "line end", "second line", "header"])
 @pytest.mark.parametrize("bad", ["", "BAD,x,y,z,q,w\n"], ids=["clean", "bad row"])
 def test_nul_names_its_line(tmp_path, row, bad):
     # csv.reader refuses a NUL before Python 3.11 and accepts it after,
     # and np.loadtxt reads it: every read must refuse it as csv did
     good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
-    path = _write(tmp_path, bad + good + row + "\n")
-    with pytest.raises(SchemaError,
-                       match=rf"^line {201 + bool(bad)}: line contains NUL$"):
+    if row is None:
+        header, body, line = HEADER.replace(",", "\x00,", 1), bad + good, 1
+    else:
+        header, body, line = HEADER, bad + good + row + "\n", 201 + bool(bad)
+    path = tmp_path / "panel.csv"
+    path.write_text(header + body)
+    with pytest.raises(SchemaError, match=rf"^line {line}: line contains NUL$"):
         load_csv(path)
 
 
