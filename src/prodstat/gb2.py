@@ -81,12 +81,6 @@ class FitResult:
     n_iterations: int
     n_evaluations: int
 
-    def __post_init__(self):
-        if self.converged and not math.isfinite(self.log_likelihood):
-            raise ValueError("converged fit must have finite log-likelihood")
-        if not self.mu_stderr >= 0.0:
-            raise ValueError("mu_stderr must be >= 0")
-
 
 def _series(coeffs, x: float) -> float:
     """sum_k coeffs[k-1] x^(-2k), k = 1, 2, ..., by Horner's rule."""

@@ -348,8 +348,10 @@ def build_samples(records: np.ndarray,
                      sector_class=records["sector_class"][keep],
                      c=c[keep], weight_workers=l_bar[keep])
     top = ()
-    if filters.max_productivity is None:
-        top = tuple(np.sort(samples["c"])[::-1][:10].tolist())
+    if filters.max_productivity is None and len(samples):
+        # the ten largest c, descending, without sorting the rest
+        k = max(len(samples) - 10, 0)
+        top = tuple(np.sort(np.partition(samples["c"], k)[k:])[::-1].tolist())
     return BuildResult(samples=samples, exclusions=exclusions,
                        top_productivities=top)
 

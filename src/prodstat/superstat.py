@@ -44,15 +44,16 @@ class ParetoIndices:
     mu_w_stderr: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu_f > 0.0 and self.mu_w > 0.0):
-            raise ValueError("tail indices must be > 0")
+        if not (0.0 < self.mu_f < math.inf and 0.0 < self.mu_w < math.inf):
+            raise ValueError("tail indices must be > 0 and finite")
         if self.mu_f_stderr < 0.0 or self.mu_w_stderr < 0.0:
             raise ValueError("stderrs must be >= 0")
 
 
 @dataclass(frozen=True)
 class DemandIndexPoint:
-    """Derived (gamma, delta, kappa) with regime classification.
+    """Derived (gamma, delta, kappa) with regime classification, as
+    kappa_from_mus builds it.
 
     kappa and kappa_stderr are None outside the superstatistical regime;
     delta is NaN at the degenerate fixed point, where it is a 0/0 limit.
@@ -63,16 +64,6 @@ class DemandIndexPoint:
     kappa: float | None
     kappa_stderr: float | None
     regime: Regime
-
-    def __post_init__(self):
-        if self.regime is Regime.SUPERSTATISTICAL:
-            if not (self.gamma < 1.0 and self.delta < 1.0):
-                raise ValueError("superstatistical point needs gamma, delta < 1")
-            if self.kappa is None or not (0.0 < self.kappa < 1.0):
-                raise ValueError("superstatistical kappa must lie in (0, 1)")
-        elif self.regime is Regime.NEGATIVE_TEMPERATURE:
-            if self.kappa is not None:
-                raise ValueError("negative-temperature point carries no kappa")
 
 
 @dataclass(frozen=True)
@@ -164,7 +155,7 @@ def kappa_from_mus(p: ParetoIndices) -> DemandIndexPoint:
                                 kappa_stderr=None,
                                 regime=Regime.FIXED_POINT_DEGENERATE)
 
-    delta = delta_from_gamma(gamma, p.mu_f)
+    delta = _delta(gamma, p.mu_f)
     kappa = 1.0 / (2.0 - delta)
     if p.mu_f >= 2.0:
         d_f, d_w = 1.0, -1.0

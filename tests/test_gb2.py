@@ -313,6 +313,23 @@ def test_starts_reach_one_optimum():
             assert -path.f == pytest.approx(res.log_likelihood, rel=1e-12)
 
 
+def test_tail_index_guess_fallbacks():
+    # one firm holds a fifth of the workers: the weighted top decile is
+    # empty, so the start slope comes from the ten largest values
+    c = _panel_sample()
+    w = np.ones_like(c)
+    w[np.argmax(c)] = 0.2 * len(c)
+    order = np.argsort(c)[::-1]
+    cs, ws = c[order], w[order]
+    rank_frac = np.cumsum(ws) / np.sum(ws)
+    slope = np.polyfit(np.log(cs[:10]), np.log(rank_frac[:10]), 1)[0]
+    assert gb2._tail_index_guess(cs, ws) == float(np.clip(-slope, 0.3, 8.0))
+    assert gb2.fit_mle(c, w).converged
+    # one distinct value, alone or repeated, has no slope
+    assert gb2._tail_index_guess(np.array([3.0]), np.array([7.0])) == 1.5
+    assert gb2._tail_index_guess(np.full(50, 3.0), np.ones(50)) == 1.5
+
+
 def test_fit_takes_c_and_weights_as_they_are():
     c = _panel_sample()
     with pytest.raises(ValueError, match="c must be 1-d"):

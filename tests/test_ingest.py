@@ -402,6 +402,25 @@ def test_top_productivities_reported_without_cap(tmp_path):
                            FilterConfig(max_productivity=1e9))
     assert capped.top_productivities == ()
 
+    # 0, 1, 9, 10 and 11 samples in shuffled order, then a tie across the
+    # tenth place: each the head of a full descending sort.  Firm X's
+    # one year pairs with no prior, so a panel of no samples still loads.
+    rng = np.random.default_rng(5)
+    cases = [rng.permutation(n) + 1.0 for n in (0, 1, 9, 10, 11)]
+    cases.append(rng.permutation([20.0 + i for i in range(8)]
+                                 + [7.0, 7.0, 7.0, 1.0, 2.0]))
+    for k, values in enumerate(cases):
+        rows = ["X,2000,1,M,1.0,1\n"]
+        for i, v in enumerate(values):     # l_bar = 2, so c = v
+            rows.append(f"F{i},2000,1,M,{2 * v},2\n")
+            rows.append(f"F{i},2001,1,M,{2 * v},2\n")
+        path = _write(tmp_path, "".join(rows), name=f"top{k}.csv")
+        build = build_samples(load_csv(path).records)
+        assert len(build.samples) == len(values)
+        full = tuple(np.sort(build.samples["c"])[::-1][:10].tolist())
+        assert build.top_productivities == full
+        assert full == tuple(sorted(values, reverse=True)[:10])
+
 
 def test_sector_aggregate(tmp_path):
     path = _write(tmp_path,

@@ -1,6 +1,7 @@
 """Monte Carlo allocation engine, scaling-window guardrails, and the
 flat key = value scenario format."""
 
+import os
 import sys
 
 import numpy as np
@@ -99,6 +100,16 @@ def test_chunked_run_matches_serial_loop(monkeypatch, cpus, n_firms,
     # two orders of one sum of N positive terms, each within (N - 1) eps
     np.testing.assert_allclose(demand, dot_demand,
                                rtol=2 * n_workers * np.finfo(float).eps)
+
+
+def test_n_cpus_without_affinity(monkeypatch):
+    # where os has no sched_getaffinity, the pool sizes by os.cpu_count,
+    # and by one CPU when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulate._n_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._n_cpus() == 1
 
 
 def test_seed_changes_output():

@@ -63,11 +63,23 @@ def test_kappa_equals_inverse_two_minus_delta():
 
 
 def test_kappa_in_unit_interval():
+    # what kappa_from_mus guarantees of a superstatistical point
     rng = np.random.default_rng(14)
+    draws = []
     for _ in range(2000):
         mu_f = rng.uniform(1.05, 4.0)
-        mu_w = mu_f + rng.uniform(0.05, 1.5)
+        draws.append((mu_f, mu_f + rng.uniform(0.05, 1.5)))
+    # edge draws: mu_f just past the fixed-point window, mu_w up to 50
+    # above mu_f or one ulp above it
+    for _ in range(2000):
+        mu_f = rng.uniform(1.0 + 2e-6, 4.0)
+        draws.append((mu_f, mu_f + rng.uniform(1e-9, 50.0)))
+    for mu_f in (1.0 + 2e-6, 1.5, 2.0, 4.0):
+        draws += [(mu_f, mu_f + 50.0), (mu_f, np.nextafter(mu_f, np.inf))]
+    for mu_f, mu_w in draws:
         pt = kappa_from_mus(ParetoIndices(mu_f=mu_f, mu_w=mu_w))
+        assert pt.regime is Regime.SUPERSTATISTICAL
+        assert pt.gamma < 1.0 and pt.delta < 1.0
         assert 0.0 < pt.kappa < 1.0
 
 
@@ -160,11 +172,13 @@ def test_regime_values():
 
 @pytest.mark.parametrize("call,message", [
     (lambda: ParetoIndices(mu_f=0.0, mu_w=2.0), "tail indices must be > 0"),
+    (lambda: ParetoIndices(mu_f=2.0, mu_w=math.inf),
+     "tail indices must be > 0 and finite"),
     (lambda: ParetoIndices(mu_f=2.0, mu_w=3.0, mu_w_stderr=-0.1),
      "stderrs must be >= 0"),
     (lambda: delta_from_gamma(0.5, 1.0), "mu_f must be > 1"),
     (lambda: mu_w_predicted(1.0, 0.5), "mu_f must be > 1"),
-], ids=["mu", "stderr", "delta_from_gamma", "mu_w_predicted"])
+], ids=["mu", "mu_inf", "stderr", "delta_from_gamma", "mu_w_predicted"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
