@@ -214,18 +214,15 @@ def _cmd_index(args) -> int:
     series = []
     for year in years:
         samples = _slice_samples(build.samples, year, args.klass)
+        # a year without an index: too few samples to fit, or mu_f <= 1
         try:
             firm_fit = gb2.fit_mle(samples["c"])
             worker_fit = gb2.fit_mle(samples["c"], samples["weight_workers"])
-        except InsufficientData as exc:
-            series.append({"year": year, "error": str(exc)})
-            continue
-        indices = ParetoIndices(
-            mu_f=firm_fit.params.mu, mu_w=worker_fit.params.mu,
-            mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr)
-        try:
+            indices = ParetoIndices(
+                mu_f=firm_fit.params.mu, mu_w=worker_fit.params.mu,
+                mu_f_stderr=firm_fit.mu_stderr, mu_w_stderr=worker_fit.mu_stderr)
             point = kappa_from_mus(indices)
-        except ValueError as exc:           # mu_f <= 1: no demand index
+        except (InsufficientData, ValueError) as exc:
             series.append({"year": year, "error": str(exc)})
             continue
         entry = {"year": year, **vars(indices), **vars(point),

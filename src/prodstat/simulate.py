@@ -270,7 +270,8 @@ def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
     fit_window_lo and _hi (finite and > 0; by default the widest window
     the beta range admits, narrowed by 0.1%), tolerance (finite and > 0),
     verify.  A malformed line, an unknown or repeated key and a bad value
-    raise ValueError naming path:line and the key.
+    raise ValueError naming path:line and the key; a value that parses
+    but that SimConfig, BetaWeight or Gb2Params refuses names the path.
     """
     v: dict = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -295,10 +296,13 @@ def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
     if missing:
         raise ValueError(
             f"{path}: scenario missing keys: {', '.join(missing)}")
-    w = BetaWeight(v["gamma"], v["beta_min"], v["beta_max"])
-    firm = gb2.Gb2Params(v["firm_mu"], v["firm_nu"], v["firm_q"], v["firm_c1"])
-    config = SimConfig(v["n_firms"], v["n_workers_per_epoch"], v["n_epochs"],
-                       firm, w, v["seed"])
+    try:
+        w = BetaWeight(v["gamma"], v["beta_min"], v["beta_max"])
+        firm = gb2.Gb2Params(v["firm_mu"], v["firm_nu"], v["firm_q"], v["firm_c1"])
+        config = SimConfig(v["n_firms"], v["n_workers_per_epoch"], v["n_epochs"],
+                           firm, w, v["seed"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     window = (v.get("fit_window_lo", _WINDOW_LO_MIN / w.beta_max * 1.001),
               v.get("fit_window_hi", _WINDOW_HI_MAX / w.beta_min * 0.999))
     return Scenario(config, window, v.get("tolerance", _TOLERANCE),

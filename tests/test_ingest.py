@@ -695,15 +695,32 @@ def test_bulk_and_loop_give_identical_records(tmp_path):
         (402, "non-integer year, sector_code, or workers_eoy")]
 
 
-def test_overlong_integer_reads_alike_with_and_without_a_bad_row(tmp_path):
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("digits", [
+    pytest.param(_DIGITS, id="interpreter-limit"),
+    # no limit: the guard's run is csv.field_size_limit() alone
+    pytest.param(0, id="no-limit", marks=pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="int()'s digit limit cannot be set")),
+])
+def test_overlong_integer_reads_alike_with_and_without_a_bad_row(tmp_path, digits):
     # np.loadtxt reads '0' * 5000 + '2000' as 2000, and int() refuses it
     # past sys.get_int_max_str_digits(): the loop's answer must hold
     # whether or not another row sends the file to the loop
     rows = "".join(f"F{i},{'0' * 5000 * (i == 0)}2000,3,M,10.0,5\n"
                    for i in range(200))
-    alone = load_csv(_write(tmp_path, rows, "alone.csv"))
-    dirty = load_csv(_write(tmp_path, rows + "BAD,x\n", "dirty.csv"))
-    limited = bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+    limited = bool(digits)
+    alone_path = _write(tmp_path, rows, "alone.csv")
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_digits(digits)
+    try:
+        assert _takes_bulk_parse(alone_path) == (not limited)
+        alone = load_csv(alone_path)
+        dirty = load_csv(_write(tmp_path, rows + "BAD,x\n", "dirty.csv"))
+    finally:
+        set_digits(_DIGITS)
     assert len(alone.records) == 200 - limited
     assert alone.records.tobytes() == dirty.records.tobytes()
     assert list(dirty.errors) == [*alone.errors, ingest.RowError(
@@ -712,7 +729,6 @@ def test_overlong_integer_reads_alike_with_and_without_a_bad_row(tmp_path):
         (2, "non-integer year, sector_code, or workers_eoy")]
 
 
-_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 # the guard's run: a text with this many characters in a row without a
 # comma goes to the row loop
 _RUN = min(_LIMIT, _DIGITS - 18) if _DIGITS else _LIMIT

@@ -346,3 +346,20 @@ def test_scenario_bad_line_names_line_and_key(tmp_path, text, line, message):
     with pytest.raises(ValueError) as err:
         parse_scenario(path, default_seed=lambda: 1)
     assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("n_firms = 1500", "n_firms = 0", "counts must be >= 1"),
+    ("gamma = 0.5", "gamma = 1.5", "gamma must be finite and < 1"),
+    ("firm_q = 1.0", "firm_q = -1",
+     "Gb2Params.q must be finite and > 0, got -1.0"),
+    ("beta_min = 1e-4", "beta_min = 3.0",
+     "need 0 < beta_min <= beta_max < inf"),
+])
+def test_scenario_value_refused_by_config_names_file(tmp_path, old, new, message):
+    # each value parses, and SimConfig, BetaWeight or Gb2Params refuses it
+    path = tmp_path / "bad.txt"
+    path.write_text(NO_SEED.replace(old, new))
+    with pytest.raises(ValueError) as err:
+        parse_scenario(path, default_seed=lambda: 1)
+    assert str(err.value).startswith(f"{path}: {message}")
