@@ -50,21 +50,20 @@ from .superstat import ParetoIndices, Regime, kappa_from_mus
 _ENV_SEED = "PRODSTAT_SEED"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):          # argparse default exits with 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
+    if epoch is None:
+        return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    try:
         dt = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-    else:
-        dt = datetime.datetime.now(datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError("SOURCE_DATE_EPOCH must be an integer count of "
+                         f"seconds a date can hold, got {epoch!r}") from None
     return dt.isoformat()
 
 
@@ -191,13 +190,13 @@ def _cmd_fit(args) -> int:
 def _parse_years(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
     if not sep:
-        raise _UsageError(f"--years wants Y1..Y2, got {spec!r}")
+        raise ValueError(f"--years wants Y1..Y2, got {spec!r}")
     try:
         y1, y2 = int(lo), int(hi)
     except ValueError:
-        raise _UsageError(f"--years wants integers, got {spec!r}") from None
+        raise ValueError(f"--years wants integers, got {spec!r}") from None
     if y2 < y1:
-        raise _UsageError(f"empty year range {spec!r}")
+        raise ValueError(f"empty year range {spec!r}")
     return range(y1, y2 + 1)
 
 
@@ -257,7 +256,7 @@ def _env_seed() -> int | None:
     try:
         return None if text is None else simulate.parse_seed(text)
     except ValueError:
-        raise _UsageError(f"{_ENV_SEED} must be an integer >= 0, got {text!r}") from None
+        raise ValueError(f"{_ENV_SEED} must be an integer >= 0, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -303,9 +302,9 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
-        raise _UsageError(f"--beta-grid wants lo:hi:n, got {spec!r}") from None
+        raise ValueError(f"--beta-grid wants lo:hi:n, got {spec!r}") from None
     if not (0.0 < lo < hi < math.inf and n >= 2):
-        raise _UsageError(
+        raise ValueError(
             f"--beta-grid wants finite 0 < lo < hi and n >= 2, got {spec!r}")
     return np.geomspace(lo, hi, n)
 
@@ -357,19 +356,22 @@ def _cmd_ranksize(args) -> int:
 _ANY_CLASS = ingest.CLASS_CODES + ("all",)
 
 
-def _add_panel_args(p: argparse.ArgumentParser, with_target: bool,
-                    class_choices) -> None:
+def _add_panel_args(p: argparse.ArgumentParser, one_year: bool) -> None:
+    """The panel options; a one-year command (fit, ranksize) also takes
+    --target and --year."""
     p.add_argument("--input", required=True, help="panel CSV path")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=class_choices, help="sector class slice")
+                   choices=_ANY_CLASS if one_year else ingest.CLASS_CODES,
+                   help="sector class slice")
     p.add_argument("--min-workers", type=float,
                    default=ingest.FilterConfig.min_workers,
                    help="drop samples with averaged workforce below this")
     p.add_argument("--max-productivity", type=float, default=None,
                    help="drop samples with productivity above this cap")
-    if with_target:
+    if one_year:
         p.add_argument("--target", required=True, choices=("firms", "workers"),
                        help="unweighted firm fit or worker-weighted fit")
+        p.add_argument("--year", type=int, required=True)
 
 
 def build_parser() -> _Parser:
@@ -378,13 +380,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("fit", help="GB2 MLE on a panel slice")
-    _add_panel_args(p, with_target=True, class_choices=_ANY_CLASS)
-    p.add_argument("--year", type=int, required=True)
+    _add_panel_args(p, one_year=True)
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("index", help="per-year demand-index series")
-    _add_panel_args(p, with_target=False, class_choices=ingest.CLASS_CODES)
+    _add_panel_args(p, one_year=False)
     p.add_argument("--years", required=True, help="inclusive range Y1..Y2")
     p.add_argument("--out-json", default=None, help="JSON path (default stdout)")
     p.add_argument("--out-tsv", default=None, help="optional TSV path")
@@ -405,8 +406,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_thermo)
 
     p = sub.add_parser("ranksize", help="rank-size plot data")
-    _add_panel_args(p, with_target=True, class_choices=_ANY_CLASS)
-    p.add_argument("--year", type=int, required=True)
+    _add_panel_args(p, one_year=True)
     p.add_argument("--fit", action="store_true",
                    help="also fit GB2 and write the model curve")
     p.add_argument("--out-tsv", required=True, help="points TSV path")
@@ -418,8 +418,8 @@ def build_parser() -> _Parser:
 
 
 # the errors main reports as a one-line message, and their exit codes
-_EXIT_CODES = {_UsageError: 1, SchemaError: 1, TooManyBadRows: 1,
-               ValueError: 1, OSError: 1, EmptyYear: 2, InsufficientData: 2}
+_EXIT_CODES = {SchemaError: 1, TooManyBadRows: 1, ValueError: 1, OSError: 1,
+               EmptyYear: 2, InsufficientData: 2}
 
 
 def main(argv=None) -> int:

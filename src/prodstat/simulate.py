@@ -269,12 +269,18 @@ def parse_scenario(path, default_seed: Callable[[], int | None] | None = None
     firm_mu/nu/q/c1 and gamma/beta_min/beta_max.  Optional:
     fit_window_lo and _hi (finite and > 0; by default the widest window
     the beta range admits, narrowed by 0.1%), tolerance (finite and > 0),
-    verify.  A malformed line, an unknown or repeated key and a bad value
-    raise ValueError naming path:line and the key; a value that parses
-    but that SimConfig, BetaWeight or Gb2Params refuses names the path.
+    verify.  The file is UTF-8 in every locale (a leading BOM is
+    dropped).  A malformed line, an unknown or repeated key and a bad
+    value raise ValueError naming path:line and the key; a byte that is
+    not UTF-8, and a value that parses but that SimConfig, BetaWeight or
+    Gb2Params refuses, name the path.
     """
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     v: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -296,15 +296,6 @@ def moment(m: ThermoModel, n: int, beta: float) -> float:
                for k, v in enumerate(vals))
 
 
-def _require_expansion_regime(m: ThermoModel, beta: float) -> None:
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"expansion requires finite beta >= 0, got {beta!r}")
-    if m.c0 * beta >= _EXPANSION_GUARD:
-        raise OutOfRegime(
-            f"c0 * beta = {m.c0 * beta:.3g} is outside the small-beta "
-            f"expansion regime (< {_EXPANSION_GUARD})")
-
-
 def gamma_neg(x: float) -> float:
     """Gamma(x) for non-integer x, including x < 0, |x| < 170."""
     if not math.isfinite(x) or abs(x) >= 170.0:
@@ -318,7 +309,12 @@ def gamma_neg(x: float) -> float:
 def _expansion_terms(m: ThermoModel, beta: float) -> tuple[float, float]:
     """(Z term, D term): what partition_expansion adds to 1 - mean0 beta
     and demand_expansion adds to mean0, both from one branch on mu_f."""
-    _require_expansion_regime(m, beta)
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"expansion requires finite beta >= 0, got {beta!r}")
+    if m.c0 * beta >= _EXPANSION_GUARD:
+        raise OutOfRegime(
+            f"c0 * beta = {m.c0 * beta:.3g} is outside the small-beta "
+            f"expansion regime (< {_EXPANSION_GUARD})")
     if beta == 0.0:
         return 0.0, 0.0
     if abs(m.mu_f - 2.0) < _BRANCH_TOL:
@@ -389,18 +385,13 @@ _POINT_DTYPE = np.dtype([("beta", np.float64), ("demand", np.float64),
                          ("rel_diff", np.float64), ("passed", np.bool_)])
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    points: np.ndarray         # structured, _POINT_DTYPE, one row per beta
-    all_passed: bool
-
-
-def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
-    """Verify dD/dT >= 0 along the grid and that the two routes to dD/dT
-    (finite difference, variance identity) agree to 1e-4 relative, with
-    absolute floors 1e-10 for unitless beta^2 Var and 1e-10 mean0 for D.
-    The report's points are one structured array of _POINT_DTYPE, a row
-    per grid beta."""
+def check_monotonicity(m: ThermoModel, beta_grid) -> np.ndarray:
+    """The monotonicity points of the grid, one structured array of
+    _POINT_DTYPE with a row per grid beta.  A point passes when
+    dD/dT >= 0 there, D does not rise from the previous point, and the
+    two routes to dD/dT (finite difference, variance identity) agree to
+    1e-4 relative, with absolute floors 1e-10 for unitless beta^2 Var
+    and 1e-10 mean0 for D."""
     grid = np.asarray(beta_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("beta_grid must be a nonempty 1-d sequence")
@@ -435,8 +426,7 @@ def check_monotonicity(m: ThermoModel, beta_grid) -> MonotonicityReport:
         rows.append((beta, d_mid, dd_dt_fd, dd_dt_var, rel,
                      agree and nonneg and noninc))
         prev_demand = d_mid
-    points = np.array(rows, dtype=_POINT_DTYPE)
-    return MonotonicityReport(points, bool(points["passed"].all()))
+    return np.array(rows, dtype=_POINT_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +480,10 @@ def _check_expansion(m: ThermoModel, grid) -> dict:
 
 
 def check_model(m: ThermoModel, beta_grid) -> dict:
-    """The thermo report of m: check_monotonicity on beta_grid, the demand
-    limits at beta_lo and beta_hi set by m (ValueError if either is not a
-    normal float), and the expansion check; "passed" when all three hold."""
+    """The thermo report of m: check_monotonicity's points on beta_grid
+    and whether all of them passed, the demand limits at beta_lo and
+    beta_hi set by m (ValueError if either is not a normal float), and
+    the expansion check; "passed" when all three hold."""
     # the relative demand deficit is O((c0 beta)^e), e = min(mu_f - 1, 1):
     # beta_lo brings it to about 1e-3 where e < 1/3
     e = min(m.mu_f - 1.0, 1.0)
@@ -503,7 +494,8 @@ def check_model(m: ThermoModel, beta_grid) -> dict:
     a = m.low_exp
     beta_hi = _normal("beta_hi", lambda: 1e4 * (max(a, 1.0) / m.scale + m.rate))
 
-    mono = check_monotonicity(m, beta_grid)
+    points = check_monotonicity(m, beta_grid)
+    mono_ok = bool(points["passed"].all())
     d_lo = demand(m, beta_lo)
     d_hi = demand(m, beta_hi)
     low_ok = abs(d_lo / m.mean0 - 1.0) <= 1e-2
@@ -512,9 +504,9 @@ def check_model(m: ThermoModel, beta_grid) -> dict:
     expansion = _check_expansion(m, beta_grid)
     exp_ok = all(p["passed"] for p in expansion.get("points", ()))
 
-    passed = bool(mono.all_passed and low_ok and high_ok and exp_ok)
+    passed = bool(mono_ok and low_ok and high_ok and exp_ok)
     return {"model": {"mu_f": m.mu_f, "c0": m.c0, "mean0": m.mean0, "m2": m.m2},
-            "monotonicity": mono,
+            "monotonicity": {"points": points, "all_passed": mono_ok},
             "limits": {"beta_lo": beta_lo, "beta_hi": beta_hi,
                        "demand_at_beta_lo": d_lo, "demand_at_beta_hi": d_hi,
                        "low_ok": low_ok, "high_ok": high_ok},

@@ -196,11 +196,11 @@ def test_a5_thermodynamics(capsys):
     asym_ok = all(0.9 <= r <= 1.0 + 1e-9 for r in asym)
 
     dt = time.monotonic() - t0
-    ok = (worst_cf <= 1e-9 and mono_e.all_passed and mono_g.all_passed
+    ok = (worst_cf <= 1e-9 and mono_e["passed"].all() and mono_g["passed"].all()
           and worst_lo <= 1e-6 and worst_hi < 1e-3 and asym_ok and dt < 60.0)
     _verdict(capsys, "5 thermo", ok,
              f"closed form {worst_cf:.2e} (<=1e-9), monotone "
-             f"{mono_e.all_passed}/{mono_g.all_passed}, low dev "
+             f"{mono_e['passed'].all()}/{mono_g['passed'].all()}, low dev "
              f"{worst_lo:.2e}, high ratio {worst_hi:.2e} (<1e-3), "
              f"(D - floor) beta / a {asym[0]:.6f}/{asym[1]:.6f} "
              f"(in [0.9, 1]), {dt:.1f}s (<60s)")

@@ -730,6 +730,22 @@ def test_thermo_overflowing_moments_exit_one(capsys):
         "prodstat: thermal moments at beta = 1e-180 overflow a float\n")
 
 
+# not an integer, and integers that datetime cannot hold (the last one
+# also overflows a C time_t)
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "-99999999999999",
+                                   "99999999999999999999"])
+def test_thermo_bad_source_date_epoch_exit_one(epoch, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "thermo.json"
+    assert main(["thermo", "--model", "exponential:mean=1.0",
+                 "--beta-grid", "1e-4:1e2:3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "prodstat: SOURCE_DATE_EPOCH must be an integer count of seconds "
+        f"a date can hold, got {epoch!r}\n")
+    assert not out.exists()
+
+
 def test_thermo_subnormal_grid_beta_exit_one(capsys):
     assert main(["thermo", "--model", "exponential:mean=1.0",
                  "--beta-grid", "5e-324:1e-300:3"]) == 1

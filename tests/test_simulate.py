@@ -1,8 +1,11 @@
 """Monte Carlo allocation engine, scaling-window guardrails, and the
 flat key = value scenario format."""
 
+import codecs
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +366,34 @@ def test_scenario_value_refused_by_config_names_file(tmp_path, old, new, message
     with pytest.raises(ValueError) as err:
         parse_scenario(path, default_seed=lambda: 1)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_scenario_reads_as_utf8_in_a_c_locale(tmp_path):
+    # a C locale without coercion or UTF-8 mode prefers ASCII, which a
+    # locale-default read_text would apply to the file
+    path = tmp_path / "scenario.txt"
+    path.write_text("# 企業数\n" + NO_SEED + "seed = 4\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import locale, sys; "
+             "print(locale.getpreferredencoding(False), flush=True); "
+             "from prodstat.simulate import parse_scenario; "
+             "print(parse_scenario(sys.argv[1]).config.seed)")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True,
+        text=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+             "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+    encoding = done.stdout.split("\n", 1)[0]
+    if codecs.lookup(encoding).name == "utf-8":
+        pytest.skip("the child's preferred encoding is already UTF-8")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{encoding}\n4\n", "")
+
+
+def test_scenario_not_utf8_names_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n" + NO_SEED.encode())
+    with pytest.raises(ValueError) as err:
+        parse_scenario(path, default_seed=lambda: 1)
+    assert str(err.value).startswith(
+        f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 5")

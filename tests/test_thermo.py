@@ -344,10 +344,10 @@ def test_deficit_slope_linear():
 
 def test_monotonicity_exponential():
     m = ThermoModel.exponential(1.0)
-    report = thermo.check_monotonicity(m, np.geomspace(1e-4, 1e2, 50))
-    assert report.all_passed
-    assert len(report.points) == 50
-    assert all(p["passed"] for p in report.points)
+    points = thermo.check_monotonicity(m, np.geomspace(1e-4, 1e2, 50))
+    assert points["passed"].all()
+    assert len(points) == 50
+    assert all(p["passed"] for p in points)
     with pytest.raises(ValueError, match="finite"):
         thermo.check_monotonicity(m, [1e-3, np.inf])
 
@@ -372,10 +372,10 @@ def test_monotonicity_nan_route_fails_its_point(monkeypatch):
         return vals, ln_scale
 
     monkeypatch.setattr(thermo, "_laplace", nan_neighbours)
-    report = thermo.check_monotonicity(m, [0.5, 1.0])
-    assert all(math.isnan(p["dd_dt_fd"]) for p in report.points)
-    assert [p["passed"] for p in report.points] == [False, False]
-    assert not report.all_passed
+    points = thermo.check_monotonicity(m, [0.5, 1.0])
+    assert all(math.isnan(p["dd_dt_fd"]) for p in points)
+    assert [p["passed"] for p in points] == [False, False]
+    assert not points["passed"].all()
 
 
 def test_one_quad_call_per_point(monkeypatch):
@@ -392,7 +392,7 @@ def test_one_quad_call_per_point(monkeypatch):
     monkeypatch.setattr(thermo, "quad", counted)
     m = _gb2_model(2.5, 0.8, 1.2, 2.0)
     grid = np.geomspace(1e-4, 1e2, 25)
-    assert thermo.check_monotonicity(m, grid).all_passed
+    assert thermo.check_monotonicity(m, grid)["passed"].all()
     assert len(calls) == len(grid)
     for points, betas in ((3, grid), (2, grid[:1])):
         calls.clear()
@@ -403,16 +403,16 @@ def test_one_quad_call_per_point(monkeypatch):
 def test_monotonicity_exponential_variance_closed_form():
     # beta^2 Var_beta(c) = (beta / (1 + beta))^2 for the unit exponential
     m = ThermoModel.exponential(1.0)
-    report = thermo.check_monotonicity(m, np.geomspace(1e-8, 1e3, 40))
-    for p in report.points:
+    points = thermo.check_monotonicity(m, np.geomspace(1e-8, 1e3, 40))
+    for p in points:
         assert p["dd_dt_var"] == pytest.approx(
             (p["beta"] / (1.0 + p["beta"])) ** 2, rel=1e-9)
 
 
 def test_monotonicity_gb2():
     m = _gb2_model(2.5, 0.8, 1.2, 2.0)
-    report = thermo.check_monotonicity(m, np.geomspace(1e-3, 1e2, 50))
-    assert report.all_passed
+    points = thermo.check_monotonicity(m, np.geomspace(1e-3, 1e2, 50))
+    assert points["passed"].all()
 
 
 def test_monotonicity_demand_decreasing_in_beta():
@@ -464,6 +464,33 @@ def test_check_model_is_the_cli_report(spec, m, tmp_path):
     wrong = dataclasses.replace(m, low_exp=2.0 * m.low_exp)
     limits = thermo.check_model(wrong, np.geomspace(1e-3, 1e3, 50))["limits"]
     assert limits["high_ok"] is False
+
+
+def test_check_model_fails_on_one_bad_monotonicity_point(monkeypatch,
+                                                         tmp_path):
+    # NaN demand at the finite-difference neighbours of one grid beta only:
+    # that point fails, and check_model's all_passed and passed with it
+    grid = np.geomspace(1e-4, 1e2, 25)
+    bad = grid[12]
+    laplace = thermo._laplace
+
+    def nan_at_bad(model, betas, orders):
+        vals, ln_scale = laplace(model, betas, orders)
+        if len(betas) == 3 and betas[0] == bad:
+            vals[1:, 1] = math.nan
+        return vals, ln_scale
+
+    monkeypatch.setattr(thermo, "_laplace", nan_at_bad)
+    report = thermo.check_model(ThermoModel.exponential(1.0), grid)
+    points = report["monotonicity"]["points"]
+    assert [i for i, p in enumerate(points) if not p["passed"]] == [12]
+    assert report["monotonicity"]["all_passed"] is False
+    assert report["passed"] is False
+    assert report["limits"]["low_ok"] and report["limits"]["high_ok"]
+    assert all(p["passed"] for p in report["expansion"]["points"])
+    assert cli.main(["thermo", "--model", "exponential:mean=1.0",
+                     "--beta-grid", "1e-4:1e2:25",
+                     "--out", str(tmp_path / "t.json")]) == 4
 
 
 @pytest.mark.parametrize("spec,m", README_MODELS,
