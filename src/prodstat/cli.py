@@ -19,9 +19,8 @@ of gb2.FitResult and ``report.json`` every field of
 simulate.TailRelationReport, each under its own name, and the
 monotonicity points, one structured array, are one object per row
 keyed by its field names and built field by field.  TSV outputs are
-written from whole columns, one per header name, each column turned
-into its cells at once: a float array's by float.__repr__, nan where
-not finite, any other's by _fmt_cell.  Timestamps honor
+written from whole columns, one per header name, each cell the str of
+the column's JSON value, nan where the JSON has null.  Timestamps honor
 SOURCE_DATE_EPOCH so runs can be made byte-reproducible; PRODSTAT_SEED
 supplies a default seed to scenarios that omit one.
 
@@ -102,7 +101,7 @@ def _json_safe(obj):
                     for row in zip(*(_json_safe(obj[name]) for name in names))]
         if obj.dtype.kind == "f":
             return np.where(np.isfinite(obj), obj, None).tolist()
-        return [_json_safe(v) for v in obj.tolist()]
+        return obj.tolist()     # int, bool and str arrays
     return obj
 
 
@@ -117,22 +116,14 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _write_tsv(path: str, manifest: dict, columns: dict) -> None:
     """A TSV of columns, a mapping from header name to a whole column
-    (array or list), under a manifest comment line."""
-    cells = (map(float.__repr__, np.where(np.isfinite(c), c, np.nan).tolist())
-             if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-             else map(_fmt_cell, c.tolist() if isinstance(c, np.ndarray) else c)
+    (array, list or range), under a manifest comment line; a cell is
+    nan where the JSON has null."""
+    cells = (["nan" if v is None else str(v) for v in _json_safe(c)]
              for c in columns.values())
     lines = ["# manifest: " + json.dumps(_json_safe(manifest), sort_keys=True),
              "\t".join(columns), *map("\t".join, zip(*cells, strict=True))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _fmt_cell(v) -> str:
-    """A TSV cell: nan where the JSON writes null (None, non-finite)."""
-    if isinstance(v, float):
-        return repr(v) if math.isfinite(v) else "nan"
-    return "nan" if v is None else str(v)
 
 
 # ---------------------------------------------------------------------------

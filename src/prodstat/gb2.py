@@ -195,13 +195,19 @@ def sample(p: Gb2Params, n: int, seed) -> np.ndarray:
     """n i.i.d. draws, deterministic given seed.
 
     Uses the beta representation: b ~ Beta(nu/q, mu/q) and
-    c = c1 * (b / (1-b))^(1/q).
+    c = c1 * (b / (1-b))^(1/q).  Raises ValueError if a draw is not a
+    finite positive float, as when b rounds to 0 or 1 at small nu/q or
+    mu/q.
     """
     if n < 1:
         raise ValueError("sample requires n >= 1")
     rng = np.random.default_rng(seed)
     b = rng.beta(p.nu / p.q, p.mu / p.q, size=n)
-    return p.c1 * (b / (1.0 - b)) ** (1.0 / p.q)
+    with np.errstate(divide="ignore", over="ignore"):
+        c = p.c1 * (b / (1.0 - b)) ** (1.0 / p.q)
+    if bad := n - np.count_nonzero((c > 0.0) & (c < math.inf)):
+        raise ValueError(f"{bad} of {n} draws are not finite positive floats for {p}")
+    return c
 
 
 def moment(p: Gb2Params, n: float) -> float:

@@ -38,12 +38,12 @@ loop never runs.
 
 Two kinds of problems are kept apart on load: rows the parser cannot
 read (wrong field count, non-numeric or non-finite tokens, unknown
-sector class, a year or workers_eoy of 2**62 or more in size, whatever
-the row's other fields) are errors and become fatal past 1% of data
-rows; rows that parse but violate a domain rule (zero or negative
-workers, sector code out of range) are load-stage exclusions and never
-fatal.  Both kinds are rare rejected rows, kept as tuples of RowError
-and Exclusion records.
+sector class, a year of 2**62 or more in size or a workers_eoy of 2**62
+or more, whatever the row's other fields) are errors and become fatal
+past 1% of data rows; rows that parse but violate a domain rule (zero
+workers, negative workers of any size, sector code out of range) are
+load-stage exclusions and never fatal.  Both kinds are rare rejected
+rows, kept as tuples of RowError and Exclusion records.
 """
 
 from __future__ import annotations
@@ -141,44 +141,48 @@ def _table(**columns: np.ndarray) -> np.ndarray:
 
 def load_csv(path) -> LoadResult:
     """Parse the panel CSV.  Raises SchemaError on a wrong header or a
-    line csv cannot read, TooManyBadRows past the 1% threshold.
+    line csv cannot read, TooManyBadRows past the 1% threshold, and
+    ValueError naming the path on a byte that is not UTF-8.
 
     One np.loadtxt pass parses the data rows.  If it fails, or a row
     breaks a rule of _parse_row, the file is read again row by row, so
     that each malformed row is named by its line and message."""
-    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
-        try:
-            _, header = next(_numbered_rows(fh))
-        except StopIteration:
-            raise SchemaError("empty file: missing header") from None
-        header = tuple(h.strip() for h in header)
-        if header != SCHEMA_V1:
-            missing = [col for col in SCHEMA_V1 if col not in header]
-            extra = [col for col in header if col not in SCHEMA_V1]
-            parts = []
-            if missing:
-                parts.append(f"missing columns: {', '.join(missing)}")
-            if extra:
-                parts.append(f"unexpected columns: {', '.join(extra)}")
-            if not parts:
-                parts.append("columns out of order")
-            raise SchemaError("header mismatch; " + "; ".join(parts))
-        result = _load_columns(fh)
-        if result is not None:
-            return result
+    try:
+        with open(Path(path), newline="", encoding="utf-8-sig") as fh:
+            try:
+                _, header = next(_numbered_rows(fh))
+            except StopIteration:
+                raise SchemaError("empty file: missing header") from None
+            header = tuple(h.strip() for h in header)
+            if header != SCHEMA_V1:
+                missing = [col for col in SCHEMA_V1 if col not in header]
+                extra = [col for col in header if col not in SCHEMA_V1]
+                parts = []
+                if missing:
+                    parts.append(f"missing columns: {', '.join(missing)}")
+                if extra:
+                    parts.append(f"unexpected columns: {', '.join(extra)}")
+                if not parts:
+                    parts.append("columns out of order")
+                raise SchemaError("header mismatch; " + "; ".join(parts))
+            result = _load_columns(fh)
+            if result is not None:
+                return result
 
-        # read again row by row: the one definition of each RowError
-        fh.seek(0)
-        numbered = _numbered_rows(fh)
-        next(numbered)
-        rows: list[tuple] = []
-        errors: list[RowError] = []
-        for line_no, row in numbered:
-            if row:
-                try:
-                    rows.append(_parse_row(row))
-                except ValueError as exc:
-                    errors.append(RowError(line_no, str(exc)))
+            # read again row by row: the one definition of each RowError
+            fh.seek(0)
+            numbered = _numbered_rows(fh)
+            next(numbered)
+            rows: list[tuple] = []
+            errors: list[RowError] = []
+            for line_no, row in numbered:
+                if row:
+                    try:
+                        rows.append(_parse_row(row))
+                    except ValueError as exc:
+                        errors.append(RowError(line_no, str(exc)))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     n_rows = len(rows) + len(errors)
     if errors and len(errors) > _BAD_ROW_FRACTION * n_rows:
         raise TooManyBadRows(

@@ -138,6 +138,23 @@ def test_bad_header_exit_one(tmp_path, capsys):
     assert "missing columns: workers_eoy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", [0, 1000])
+def test_panel_not_utf8_names_file(tmp_path, capsys, bad_row):
+    # the 0xff byte in the header, or in a data row past the first
+    # 8 KiB that the header read decodes
+    rows = [b"firm_id,year,sector_code,sector_class,value_added,workers_eoy"]
+    rows += [b"F%d,2000,3,M,10.0,5" % i for i in range(1200)]
+    rows[bad_row] += b"\xff"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    assert main(["fit", "--input", str(path), "--year", "2000",
+                 "--class", "M", "--target", "firms"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prodstat: {path}: 'utf-8' codec can't decode "
+                          "byte 0xff in position ")
+    assert err.count("\n") == 1
+
+
 def test_too_many_bad_rows_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -524,6 +541,22 @@ def test_simulate_skip_verify(tmp_path):
     assert (out_dir / "firms.tsv").exists()
 
 
+def test_simulate_refuses_nonfinite_firm_draws(tmp_path, capsys):
+    # Beta(0.015, 0.025) draws round to 1.0, where b / (1 - b) is inf
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "n_firms = 2000\nn_workers_per_epoch = 100\nn_epochs = 50\nseed = 1\n"
+        "firm_mu = 2.5\nfirm_nu = 1.5\nfirm_q = 100\nfirm_c1 = 1.0\n"
+        "gamma = 0.5\nbeta_min = 1e-3\nbeta_max = 10.0\nverify = false\n")
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "prodstat: 277 of 2000 draws are not finite positive floats for "
+        "Gb2Params(mu=2.5, nu=1.5, q=100.0, c1=1.0)\n")
+    assert not (out_dir / "firms.tsv").exists()
+
+
 def test_thermo_exponential(tmp_path):
     out = tmp_path / "thermo.json"
     code = main(["thermo", "--model", "exponential:mean=1.0",
@@ -887,8 +920,8 @@ def test_byte_identical_reruns(super_panel, tmp_path):
 
 
 def test_tsv_cells_match_the_per_cell_rule(tmp_path):
-    # each column is turned into cells at once; the cells must be the
-    # ones _fmt_cell gives each value on its own
+    # each cell is the str of the column's JSON value, nan where the
+    # JSON has null: float repr, int and str as written
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e22, 0.1])
     columns = {"f": floats, "i": np.arange(-3, 5, dtype=np.int64),
                "r": range(8), "mixed": [None, "a b", -7, 2.5, math.inf,
@@ -897,12 +930,15 @@ def test_tsv_cells_match_the_per_cell_rule(tmp_path):
     cli._write_tsv(str(path), {"command": "test"}, columns)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[1] == "f\ti\tr\tmixed"
-    expected = [[cli._fmt_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray)
-                                             else c)] for c in columns.values()]
-    assert [line.split("\t") for line in lines[2:]] == [list(r) for r in zip(*expected)]
-    assert lines[2:4] == ["nan\t-3\t0\tnan", "nan\t-2\t1\ta b"]
-    assert [line.split("\t")[0] for line in lines[5:]] == [
-        "-0.0", "5e-324", "1e+16", "1e+22", "0.1"]
+    assert [line.split("\t") for line in lines[2:]] == [
+        ["nan", "-3", "0", "nan"],
+        ["nan", "-2", "1", "a b"],
+        ["nan", "-1", "2", "-7"],
+        ["-0.0", "0", "3", "2.5"],
+        ["5e-324", "1", "4", "nan"],
+        ["1e+16", "2", "5", "nan"],
+        ["1e+22", "3", "6", "100000000000000000000"],
+        ["0.1", "4", "7", "nan"]]
 
 
 def test_json_safe_structured_array_matches_row_dicts():

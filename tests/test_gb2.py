@@ -2,6 +2,7 @@
 fitter.  Reference values computed with mpmath at 40-digit precision."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -108,6 +109,18 @@ def test_sampler_deterministic():
     a = gb2.sample(p, 1000, 77)
     b = gb2.sample(p, 1000, 77)
     assert np.array_equal(a, b)
+
+
+def test_sampler_refuses_draws_that_are_not_finite_positive():
+    # at nu/q = 0.015 and mu/q = 0.025 a beta draw can round to 1.0,
+    # where c = inf, or to 0.0, where c = 0
+    p = gb2.Gb2Params(2.5, 1.5, 100.0, 1.0)
+    b = np.random.default_rng(1).beta(0.015, 0.025, size=2000)
+    bad = np.count_nonzero((b == 0.0) | (b == 1.0))
+    assert bad > 0
+    with pytest.raises(ValueError, match=re.escape(
+            f"{bad} of 2000 draws are not finite positive floats for {p!r}")):
+        gb2.sample(p, 2000, 1)
 
 
 def test_tail_scale_matches_ccdf_asymptote():

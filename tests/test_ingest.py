@@ -763,8 +763,8 @@ def test_comma_free_run_guard_edges(tmp_path, first, bulk):
 
 
 def test_range_rule_holds_on_excluded_rows(tmp_path):
-    # a year or workers_eoy of 2**62 or more in size is malformed whatever
-    # the row's other fields, under either read
+    # a year of 2**62 or more in size, or a workers_eoy of 2**62 or more,
+    # is malformed whatever the row's other fields, under either read
     for row in (["A", str(2 ** 62), "3", "M", "1.5", "0"],
                 ["A", str(-(2 ** 62)), "3", "M", "1.5", "-3"],
                 ["A", "2000", "99", "M", "1.5", str(2 ** 62)]):
@@ -775,6 +775,22 @@ def test_range_rule_holds_on_excluded_rows(tmp_path):
             result = load_csv(_write(tmp_path, good + ",".join(row) + "\n" + bad))
             assert len(result.records) == 199 and result.exclusions == ()
             assert [e.line_no for e in result.errors] == [201, 202][:1 + bool(bad)]
+
+
+def test_negative_workers_of_any_size_are_excluded(tmp_path):
+    # only a workers_eoy of 2**62 or more is out of range; a negative one
+    # of any size, past int64 too, is an exclusion, also when a malformed
+    # row sends the file to the row loop
+    good = "".join(f"F{i},2000,3,M,10.0,5\n" for i in range(199))
+    for workers in (-(2 ** 62), -(10 ** 30)):
+        row = ["A", "2000", "3", "M", "1.5", str(workers)]
+        assert ingest._parse_row(row)[5] == workers
+        for bad in ("", "BAD,x,y,z,q,w\n"):
+            result = load_csv(_write(tmp_path, good + ",".join(row) + "\n" + bad))
+            assert len(result.records) == 199
+            assert result.exclusions == (
+                ingest.Exclusion("A", 2000, ingest.R_NEGATIVE_WORKERS),)
+            assert [e.line_no for e in result.errors] == ([202] if bad else [])
 
 
 def test_ranksize_plain():
